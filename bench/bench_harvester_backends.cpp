@@ -6,11 +6,11 @@
 // What the gate pins (scripts/check_perf.sh, baseline
 // BENCH_harvester_backends.json at the repo root):
 //   * <name>_scalar_evals_per_s / <name>_batch_evals_per_s hold the
-//     >-15% regression rule per backend — the generic per-lane batch
-//     kernel (batch_generic_system) must not silently decay any more
-//     than the hand-vectorised electromagnetic one;
-//   * the electromagnetic batch numbers additionally ride the dedicated
-//     bench_batch_kernel gate with its 4x speedup floor.
+//     >-15% regression rule per backend. Scalar and batch runs call the
+//     same lane-span envelope hook (width 1 vs width B), so a backend's
+//     physics cannot decay on one path only;
+//   * <name>_batch_speedup is informational: with the physics shared it
+//     measures the batch kernel's lane amortisation, nothing else.
 #include <algorithm>
 #include <cstdio>
 #include <string>

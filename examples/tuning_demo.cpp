@@ -7,18 +7,20 @@
 
 #include "dse/envelope_system.hpp"
 #include "dse/system_evaluator.hpp"
+#include "harvester/electromagnetic.hpp"
 #include "harvester/envelope.hpp"
 
 int main() {
     using namespace ehdse;
 
     // A harsher stimulus than the paper's: four 3 Hz hops.
-    harvester::microgenerator gen;
-    harvester::tuning_table table(gen);
+    const harvester::electromagnetic_harvester em;
+    const harvester::microgenerator& gen = em.generator();
+    harvester::tuning_table table(em);
     const auto vib =
         harvester::vibration_source::stepped_mg(60.0, 65.0, 3.0, 600.0, 4);
 
-    dse::envelope_system system(gen, vib);
+    dse::envelope_system system(em, vib);
     const int start_pos = table.lookup(65.0);
     auto x0 = system.initial_state(2.85, start_pos);
 

@@ -5,8 +5,13 @@
 # registry interfaces (rsm/surrogate.hpp, doe/design.hpp), never a
 # concrete model or design header. If one leaks back in, every flow
 # consumer silently recouples to that implementation and the registries
-# stop being the single extension point. Wired into CTest as
-# `header_hygiene` (tier-1 catches it).
+# stop being the single extension point.
+#
+# src/dse is harvester-backend-blind in the same way: device physics
+# reaches it only through the harvester_model hooks, so no file there
+# may dynamic_cast to a harvester type.
+#
+# Wired into CTest as `header_hygiene` (tier-1 catches it).
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -40,8 +45,16 @@ for inc in 'rsm/surrogate.hpp' 'doe/design.hpp'; do
     fi
 done
 
+casts=$(grep -nE 'dynamic_cast[[:space:]]*<[^>]*(harvester|microgenerator)' \
+            src/dse/*.hpp src/dse/*.cpp)
+if [ -n "$casts" ]; then
+    echo "check_includes: src/dse casts to a concrete harvester type:" >&2
+    echo "$casts" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "check_includes: $header is registry-only"
+    echo "check_includes: $header is registry-only; src/dse is backend-blind"
 else
     echo "check_includes: FAILED" >&2
 fi

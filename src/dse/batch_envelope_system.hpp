@@ -1,23 +1,18 @@
 // SoA batch implementation of the envelope-mode node system: B design
 // points with identical analogue structure advance in lockstep.
 //
-// The scalar envelope_system spends ~90% of an evaluation inside
-// harvester::solve_envelope — a bisection on the self-consistent
-// electrical damping whose every trial evaluates the mechanical response
-// and the averaged diode bridge. Here that bisection runs across all
-// lanes at once: each trial is three flat loops over lanes (mechanics /
-// asin–cos / bridge power + bracket update) written branch-free with
-// value selects so GCC auto-vectorises them, and libm calls are replaced
-// by a fitted polynomial asin plus the exact identities
-// cos(asin x) = sqrt(1 - x^2) and sin(2 asin x) = 2 x sqrt(1 - x^2).
-// Per-lane brackets update under masks, so lanes converge exactly as
-// their scalar counterparts would (same iteration count, same semantics);
-// results agree with the scalar path to solver tolerance, enforced by the
-// batch_vs_scalar_equivalence testkit property.
+// The system is backend-blind. It owns the lane plumbing — per-lane
+// actuator position, load bank, energy ledger and plant handle — and the
+// slow states; the harvester physics comes from the registry entry's
+// lane-span envelope hook (harvester_model::envelope_lanes), called once
+// per RHS for all lanes. That is the same hook the scalar envelope_system
+// calls at width 1, so a lane here computes exactly what the scalar
+// system computes: for the electromagnetic device the lockstep damping
+// bisection of harvester/envelope.cpp, for the electrostatic one its
+// closed form.
 //
-// Lanes are independent: per-lane actuator position, load bank and energy
-// ledger, shared (read-only) generator, vibration source and storage
-// model. One instance hosts one batch_simulator run and is not
+// Lanes are independent: shared (read-only) model, vibration source and
+// storage model. One instance hosts one batch_simulator run and is not
 // thread-safe across concurrent runs — evaluate_batch builds one per call.
 #pragma once
 
@@ -28,7 +23,7 @@
 #include <vector>
 
 #include "dse/envelope_system.hpp"
-#include "harvester/microgenerator.hpp"
+#include "harvester/harvester_model.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
@@ -50,9 +45,9 @@ public:
         envelope_system::ix_load_energy;
     static constexpr std::size_t k_state_count = envelope_system::k_state_count;
 
-    /// `gen` and `vib` must outlive the system; `storage` is shared
+    /// `model` and `vib` must outlive the system; `storage` is shared
     /// read-only across lanes.
-    batch_envelope_system(const harvester::microgenerator& gen,
+    batch_envelope_system(const harvester::harvester_model& model,
                           const harvester::vibration_source& vib,
                           std::shared_ptr<const power::storage_model> storage,
                           power::rectifier_params rect, std::size_t lanes);
@@ -64,8 +59,8 @@ public:
     void set_frontend(frontend_kind kind, double efficiency = 0.75);
 
     /// Initial state shared by all lanes (identical scenario => identical
-    /// start): store at v0, amplitude at the converged steady state. Also
-    /// sets every lane's actuator position.
+    /// start): store at v0, amplitude at the model's converged steady
+    /// state. Also sets every lane's actuator position.
     std::vector<double> initial_state(double v0, int initial_position);
 
     /// Same integration defaults as the scalar envelope system.
@@ -107,13 +102,7 @@ private:
 
     sim::batch_simulator& bsim() const;
 
-    /// One lockstep trial of the damping fixed point: given per-lane trial
-    /// damping ce[], fill c_target[] (the damping the bridge presents
-    /// there) and za[] (the steady-state displacement amplitude). Reads
-    /// the per-call scratch (omega/re/ma/u) prepared by derivatives().
-    void eval_damping(const double* ce, double* c_target, double* za) const;
-
-    const harvester::microgenerator& gen_;
+    const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
     std::shared_ptr<const power::storage_model> storage_;
     power::rectifier_params rect_;
@@ -124,19 +113,17 @@ private:
 
     // Per-lane digital-facing state.
     std::vector<int> position_;
-    std::vector<double> stiffness_;  ///< effective_stiffness(position_[l])
     std::vector<power::load_bank> loads_;
     std::vector<std::unordered_map<std::string, power::load_id>> load_slots_;
     std::vector<power::energy_ledger> ledgers_;
     std::vector<std::unique_ptr<lane_plant>> plants_;
 
-    // Per-derivatives-call scratch, lane-contiguous. Mutable because
-    // derivatives() is logically const; a system instance hosts exactly
-    // one (single-threaded) batch_simulator run at a time.
-    mutable std::vector<double> v_, z_, omega_, re_, ma_, u_;
-    mutable std::vector<double> lo_, hi_, ce_, ct_, za_;
-    mutable std::vector<double> e_, vel_, xx_, th1_, cth_;
-    mutable std::vector<std::uint8_t> blocked_, refine_;
+    // Per-derivatives-call inputs/outputs of the envelope hook and its
+    // work arrays, lane-contiguous. Mutable because derivatives() is
+    // logically const; a system instance hosts exactly one
+    // (single-threaded) batch_simulator run at a time.
+    mutable std::vector<double> freq_, accel_, v_, z_, i_charge_;
+    mutable harvester::envelope_scratch scratch_;
 };
 
 }  // namespace ehdse::dse

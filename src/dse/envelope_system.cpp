@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "harvester/electromagnetic.hpp"
-
 namespace ehdse::dse {
 
 harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept {
@@ -26,27 +24,6 @@ envelope_system::envelope_system(const harvester::harvester_model& model,
                                  std::shared_ptr<const power::storage_model> storage,
                                  power::rectifier_params rect)
     : model_(&model), vib_(vib), storage_(std::move(storage)), rect_(rect) {
-    if (!storage_)
-        throw std::invalid_argument("envelope_system: null storage");
-}
-
-envelope_system::envelope_system(const harvester::microgenerator& gen,
-                                 const harvester::vibration_source& vib,
-                                 power::supercapacitor_params cap,
-                                 power::rectifier_params rect)
-    : envelope_system(gen, vib, std::make_shared<power::supercapacitor>(cap),
-                      rect) {}
-
-envelope_system::envelope_system(const harvester::microgenerator& gen,
-                                 const harvester::vibration_source& vib,
-                                 std::shared_ptr<const power::storage_model> storage,
-                                 power::rectifier_params rect)
-    : owned_model_(std::make_unique<harvester::electromagnetic_harvester>(
-          gen.params())),
-      model_(owned_model_.get()),
-      vib_(vib),
-      storage_(std::move(storage)),
-      rect_(rect) {
     if (!storage_)
         throw std::invalid_argument("envelope_system: null storage");
 }
@@ -91,11 +68,14 @@ void envelope_system::derivatives(double t, std::span<const double> x,
     const double v = std::max(x[ix_voltage], 0.0);
     const double z_env = std::max(x[ix_amplitude], 0.0);
 
-    const harvester::envelope_rates rates = model_->envelope_dynamics(
-        vib_.frequency_at(t), vib_.amplitude_at(t), position_, v, z_env,
-        conditioning_of(frontend_), frontend_efficiency_, rect_);
-    dxdt[ix_amplitude] = rates.amplitude_rate;
-    const double i_charge = rates.charge_current_a;
+    const double freq = vib_.frequency_at(t);
+    const double accel = vib_.amplitude_at(t);
+    double i_charge = 0.0;
+    model_->envelope_lanes({{&freq, 1}, {&accel, 1}, {&v, 1}, {&z_env, 1},
+                            {&position_, 1}},
+                           conditioning_of(frontend_), frontend_efficiency_,
+                           rect_, scratch_,
+                           {dxdt.subspan(ix_amplitude, 1), {&i_charge, 1}});
 
     const double i_loads = loads_.total_current(v);
     dxdt[ix_voltage] = storage_->dv_dt(v, i_charge - i_loads);

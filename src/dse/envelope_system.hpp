@@ -12,10 +12,9 @@
 // The harvester physics is dispatched through the harvester_model
 // registry interface: this system owns the slow states and the plant
 // bookkeeping, the model supplies the envelope RHS (amplitude relaxation
-// rate + store charging current) at each operating point. The
-// electromagnetic entry implements that hook with the exact pre-registry
-// expressions, so dispatching through the interface is bit-identical to
-// the old hard-wired path.
+// rate + store charging current) through its lane-span hook
+// (harvester_model::envelope_lanes), called here at width 1 — the same
+// code the batch kernel runs at width B.
 //
 // Digital processes interact through the harvester::plant interface:
 // instantaneous charge withdrawals (transmission bursts, MCU activity),
@@ -30,7 +29,6 @@
 
 #include "dse/node_system.hpp"
 #include "harvester/harvester_model.hpp"
-#include "harvester/microgenerator.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
@@ -70,18 +68,6 @@ public:
 
     /// Same, with an explicit storage element (e.g. a thin-film battery).
     envelope_system(const harvester::harvester_model& model,
-                    const harvester::vibration_source& vib,
-                    std::shared_ptr<const power::storage_model> storage,
-                    power::rectifier_params rect = {});
-
-    /// Pre-registry spellings: wrap `gen` in an owned electromagnetic
-    /// backend (identical physics — the microgenerator is copied by
-    /// parameter set, so `gen` need not outlive the system).
-    envelope_system(const harvester::microgenerator& gen,
-                    const harvester::vibration_source& vib,
-                    power::supercapacitor_params cap = {},
-                    power::rectifier_params rect = {});
-    envelope_system(const harvester::microgenerator& gen,
                     const harvester::vibration_source& vib,
                     std::shared_ptr<const power::storage_model> storage,
                     power::rectifier_params rect = {});
@@ -132,7 +118,6 @@ public:
 private:
     sim::sim_context& sim() const;
 
-    std::unique_ptr<const harvester::harvester_model> owned_model_;
     const harvester::harvester_model* model_;
     const harvester::vibration_source& vib_;
     std::shared_ptr<const power::storage_model> storage_;
@@ -144,6 +129,11 @@ private:
     int position_ = 0;
     frontend_kind frontend_ = frontend_kind::diode_bridge;
     double frontend_efficiency_ = 0.75;
+
+    // Work rows of the envelope hook, built once rather than per RHS
+    // call. Mutable because derivatives() is logically const; a system
+    // instance hosts one (single-threaded) simulator run at a time.
+    mutable harvester::envelope_scratch scratch_{1};
 };
 
 }  // namespace ehdse::dse

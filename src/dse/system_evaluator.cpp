@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "dse/batch_envelope_system.hpp"
-#include "dse/batch_generic_system.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
@@ -53,15 +52,6 @@ system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
     controller_.actuator.single_step_energy_j = cost.single_step_energy_j;
     controller_.actuator.multi_step_energy_j = cost.multi_step_energy_j;
     controller_.actuator.min_drive_voltage_v = cost.min_drive_voltage_v;
-}
-
-const harvester::microgenerator& system_evaluator::generator() const {
-    const auto* em =
-        dynamic_cast<const harvester::electromagnetic_harvester*>(model_.get());
-    if (em == nullptr)
-        throw std::logic_error("system_evaluator: harvester '" +
-                               model_->name() + "' has no microgenerator");
-    return em->generator();
 }
 
 namespace {
@@ -187,11 +177,10 @@ void record_batch_metrics(std::size_t lanes, bool fallback) {
     reg->get_counter("dse.batch.lanes").add(lanes);
 }
 
-/// One lockstep sweep over `chunk` through either batch kernel (both
-/// expose the same lane API and the scalar envelope state layout). Fills
-/// every result field except wall_time_s, which the caller attributes.
-template <class BatchSystem>
-void run_batch_chunk(BatchSystem& system, std::span<const system_config> chunk,
+/// One lockstep sweep over `chunk` through the batch kernel. Fills every
+/// result field except wall_time_s, which the caller attributes.
+void run_batch_chunk(batch_envelope_system& system,
+                     std::span<const system_config> chunk,
                      std::span<evaluation_result> results, const scenario& scn,
                      const harvester::tuning_table& table,
                      const node::node_params& node_base,
@@ -222,7 +211,7 @@ void run_batch_chunk(BatchSystem& system, std::span<const system_config> chunk,
         controllers.emplace_back(bsim.lane(l), system.plant(l), table,
                                  ctrl_params);
     }
-    bsim.watch_range(BatchSystem::ix_voltage);
+    bsim.watch_range(batch_envelope_system::ix_voltage);
 
     bsim.run_until(scn.duration_s);
 
@@ -233,12 +222,13 @@ void run_batch_chunk(BatchSystem& system, std::span<const system_config> chunk,
         r.suppressed_wakeups = nodes[l].suppressed_wakeups();
         r.low_band_transmissions = nodes[l].low_band_transmissions();
         r.tuning = controllers[l].stats();
-        r.final_voltage_v = bsim.state_at(l, BatchSystem::ix_voltage);
+        r.final_voltage_v = bsim.state_at(l, batch_envelope_system::ix_voltage);
         r.min_voltage_v = bsim.watched_min(l);
         r.max_voltage_v = bsim.watched_max(l);
-        r.harvested_energy_j = bsim.state_at(l, BatchSystem::ix_harvested);
+        r.harvested_energy_j =
+            bsim.state_at(l, batch_envelope_system::ix_harvested);
         r.sustained_load_energy_j =
-            bsim.state_at(l, BatchSystem::ix_load_energy);
+            bsim.state_at(l, batch_envelope_system::ix_load_energy);
         r.ledger = system.ledger(l);
         r.withdrawn_energy_j = r.ledger.grand_total();
         r.ode_steps = bsim.lane_steps(l);
@@ -264,12 +254,6 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
         return out;
     }
 
-    // The hand-vectorised SoA kernel is pinned to the electromagnetic
-    // bridge algebra; every other registry entry takes the generic
-    // per-lane kernel (same scheduler, scalar envelope hook per lane).
-    const auto* em =
-        dynamic_cast<const harvester::electromagnetic_harvester*>(model_.get());
-
     for (std::size_t first = 0; first < configs.size();
          first += k_max_batch_lanes) {
         const std::size_t lanes =
@@ -293,17 +277,10 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
         const std::span<const system_config> chunk =
             configs.subspan(first, lanes);
         const std::span<evaluation_result> results(out.data() + first, lanes);
-        if (em != nullptr) {
-            batch_envelope_system system(em->generator(), vib,
-                                         std::move(storage), rect_, lanes);
-            run_batch_chunk(system, chunk, results, scenario_, table_, node_,
-                            controller_, options, start_position);
-        } else {
-            batch_generic_system system(*model_, vib, std::move(storage), rect_,
-                                        lanes);
-            run_batch_chunk(system, chunk, results, scenario_, table_, node_,
-                            controller_, options, start_position);
-        }
+        batch_envelope_system system(*model_, vib, std::move(storage), rect_,
+                                     lanes);
+        run_batch_chunk(system, chunk, results, scenario_, table_, node_,
+                        controller_, options, start_position);
 
         // Wall clock is shared by construction; attribute an even share to
         // each lane so throughput metrics stay meaningful.

@@ -102,11 +102,6 @@ public:
         return harv_;
     }
 
-    /// The electromagnetic backend's microgenerator (pre-registry
-    /// accessor). Throws std::logic_error when the configured harvester is
-    /// not the electromagnetic device.
-    const harvester::microgenerator& generator() const;
-
     /// Replace the storage element for subsequent evaluations (e.g. a
     /// power::thin_film_battery); nullptr restores the default
     /// supercapacitor built from the constructor's parameters.
@@ -122,12 +117,10 @@ public:
 
     /// Evaluate many configs against the same scenario/options in one
     /// call. The default implementation routes envelope-fidelity,
-    /// untraced requests through the batch kernel in chunks of at most
-    /// k_max_batch_lanes — the hand-vectorised SoA sweep
-    /// (batch_envelope_system) for the electromagnetic backend, the
-    /// generic per-lane kernel (batch_generic_system) for every other
-    /// registry entry — and falls back to per-config evaluate() for
-    /// transient fidelity or when traces were requested. Results are
+    /// untraced requests through the batch kernel
+    /// (batch_envelope_system, any registered backend) in chunks of at
+    /// most k_max_batch_lanes, and falls back to per-config evaluate()
+    /// for transient fidelity or when traces were requested. Results are
     /// positional: out[i] corresponds to configs[i], and each lane's
     /// result is independent of which other configs share its batch.
     ///

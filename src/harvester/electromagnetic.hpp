@@ -2,11 +2,8 @@
 // harvester_model — the paper's device, and the registry's default entry.
 //
 // This is a thin adapter: the physics stays in microgenerator / envelope /
-// transient_model, and every interface hook is implemented with the exact
-// expressions the envelope_system used before the registry existed, so a
-// generic system dispatching through harvester_model is bit-identical to
-// the pre-refactor hard-wired path (the testkit differential properties
-// pin this).
+// transient_model. The envelope hook, initial_amplitude and phase_lag all
+// run the one lane damping solver of envelope.cpp.
 #pragma once
 
 #include "harvester/harvester_model.hpp"
@@ -18,8 +15,7 @@ class electromagnetic_harvester final : public harvester_model {
 public:
     explicit electromagnetic_harvester(microgenerator_params params = {});
 
-    /// The wrapped physics object — the SoA batch kernel and legacy call
-    /// sites operate on it directly.
+    /// The wrapped physics object.
     const microgenerator& generator() const noexcept { return gen_; }
 
     const std::string& name() const noexcept override;
@@ -35,10 +31,11 @@ public:
     double initial_amplitude(double freq_hz, double accel_amp_ms2,
                              int position, double store_v,
                              const power::rectifier_params& rect) const override;
-    envelope_rates envelope_dynamics(
-        double freq_hz, double accel_amp_ms2, int position, double store_v,
-        double z_env, conditioning_kind conditioning, double efficiency,
-        const power::rectifier_params& rect) const override;
+    void envelope_lanes(const envelope_lane_inputs& in,
+                        conditioning_kind conditioning, double efficiency,
+                        const power::rectifier_params& rect,
+                        envelope_scratch& scratch,
+                        const envelope_lane_outputs& out) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,
                      double store_v,
                      const power::rectifier_params& rect) const override;

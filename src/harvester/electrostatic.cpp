@@ -199,31 +199,34 @@ double electrostatic_harvester::initial_amplitude(
                                   position);
 }
 
-envelope_rates electrostatic_harvester::envelope_dynamics(
-    double freq_hz, double accel_amp_ms2, int position, double store_v,
-    double z_env, conditioning_kind /*conditioning*/, double /*efficiency*/,
-    const power::rectifier_params& /*rect*/) const {
+void electrostatic_harvester::envelope_lanes(
+    const envelope_lane_inputs& in, conditioning_kind /*conditioning*/,
+    double /*efficiency*/, const power::rectifier_params& /*rect*/,
+    envelope_scratch& /*scratch*/, const envelope_lane_outputs& out) const {
     // The charge-pump conditioning is integral to the device: the envelope
-    // front-end selector (diode bridge / mppt) does not apply here.
-    const double omega = 2.0 * k_pi * freq_hz;
-    const double c_e = electrical_damping(position);
-    const double c_total = c_mech_ + c_e;
-    const double target =
-        displacement_amplitude(omega, accel_amp_ms2, position);
-    const double tau = 2.0 * params_.mass_kg / c_total;
+    // front-end selector (diode bridge / mppt) does not apply here, and
+    // the closed form needs no root-solve, so each lane is one pass.
+    for (std::size_t l = 0; l < in.lanes(); ++l) {
+        const int position = in.position[l];
+        const double omega = 2.0 * k_pi * in.freq_hz[l];
+        const double c_e = electrical_damping(position);
+        const double c_total = c_mech_ + c_e;
+        const double target =
+            displacement_amplitude(omega, in.accel_amp_ms2[l], position);
+        const double tau = 2.0 * params_.mass_kg / c_total;
+        const double z_env = in.z_env[l];
+        out.amplitude_rate[l] = (target - z_env) / tau;
 
-    envelope_rates out;
-    out.amplitude_rate = (target - z_env) / tau;
-
-    // Cycle-averaged extraction at the instantaneous envelope amplitude,
-    // delivered through the flyback once the pump is primed.
-    const double vel_env = omega * z_env;
-    const double p_extracted = 0.5 * c_e * vel_env * vel_env;
-    out.charge_current_a = store_v > params_.priming_voltage_v
-                               ? params_.flyback_efficiency * p_extracted /
-                                     store_v
-                               : 0.0;
-    return out;
+        // Cycle-averaged extraction at the instantaneous envelope
+        // amplitude, delivered through the flyback once the pump is primed.
+        const double store_v = in.store_v[l];
+        const double vel_env = omega * z_env;
+        const double p_extracted = 0.5 * c_e * vel_env * vel_env;
+        out.charge_current_a[l] =
+            store_v > params_.priming_voltage_v
+                ? params_.flyback_efficiency * p_extracted / store_v
+                : 0.0;
+    }
 }
 
 double electrostatic_harvester::phase_lag(

@@ -96,10 +96,11 @@ public:
     double initial_amplitude(double freq_hz, double accel_amp_ms2,
                              int position, double store_v,
                              const power::rectifier_params& rect) const override;
-    envelope_rates envelope_dynamics(
-        double freq_hz, double accel_amp_ms2, int position, double store_v,
-        double z_env, conditioning_kind conditioning, double efficiency,
-        const power::rectifier_params& rect) const override;
+    void envelope_lanes(const envelope_lane_inputs& in,
+                        conditioning_kind conditioning, double efficiency,
+                        const power::rectifier_params& rect,
+                        envelope_scratch& scratch,
+                        const envelope_lane_outputs& out) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,
                      double store_v,
                      const power::rectifier_params& rect) const override;

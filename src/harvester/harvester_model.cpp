@@ -7,6 +7,24 @@
 
 namespace ehdse::harvester {
 
+envelope_scratch::envelope_scratch(std::size_t lanes)
+    : lanes_(lanes),
+      rows_(lanes == 1 ? 0 : k_rows * lanes),
+      masks_(lanes == 1 ? 0 : k_masks * lanes) {}
+
+envelope_rates harvester_model::envelope_dynamics(
+    double freq_hz, double accel_amp_ms2, int position, double store_v,
+    double z_env, conditioning_kind conditioning, double efficiency,
+    const power::rectifier_params& rect) const {
+    envelope_scratch scratch(1);
+    envelope_rates out;
+    envelope_lanes({{&freq_hz, 1}, {&accel_amp_ms2, 1}, {&store_v, 1},
+                    {&z_env, 1}, {&position, 1}},
+                   conditioning, efficiency, rect, scratch,
+                   {{&out.amplitude_rate, 1}, {&out.charge_current_a, 1}});
+    return out;
+}
+
 const std::vector<harvester_info>& harvester_registry() {
     static const std::vector<harvester_info> k_registry = {
         {"electromagnetic",

@@ -6,11 +6,11 @@
 //
 //   * the tuning law          resonant_frequency(position) over a discrete
 //                             actuator range (the firmware LUT samples it);
-//   * the power envelope      envelope_dynamics(): cycle-averaged amplitude
-//                             relaxation rate and store charging current at
-//                             one (excitation, position, store voltage)
-//                             point — the RHS contribution the envelope
-//                             fast path integrates;
+//   * the power envelope      envelope_lanes(): cycle-averaged amplitude
+//                             relaxation rate and store charging current
+//                             for B operating points at once — the RHS
+//                             contribution the envelope fast path
+//                             integrates, scalar (B = 1) and batch alike;
 //   * the transient RHS       make_transient(): the full per-cycle ODE
 //                             system for validation runs;
 //   * the retune energy cost  actuator(): what one tuning move costs the
@@ -20,15 +20,17 @@
 //   * describe()              machine-readable parameter summary for
 //                             --list-harvesters and service manifests.
 //
-// Numerical contract: envelope_dynamics / initial_amplitude / phase_lag
-// are pure functions of their arguments. The electromagnetic entry
-// implements them with the exact code the envelope_system used before the
-// refactor, so the generic system calling through the interface stays
-// bit-identical — the testkit batch-vs-scalar and golden-value properties
-// pin that.
+// Numerical contract: envelope_lanes / initial_amplitude / phase_lag are
+// pure functions of their arguments, and envelope_lanes is lane-wise:
+// lane l of a B-lane call equals a width-1 call on lane l's inputs
+// bitwise, whatever the other lanes hold. That is what lets the scalar
+// envelope system (width 1) and the batch kernel (width B) share one
+// implementation of each backend's physics.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,6 +70,53 @@ struct retune_cost {
 struct envelope_rates {
     double amplitude_rate = 0.0;    ///< d z_env / dt (m/s)
     double charge_current_a = 0.0;  ///< average current into the store
+};
+
+/// Operating points of B lanes, structure-of-arrays: lane l runs at
+/// excitation (freq_hz[l], accel_amp_ms2[l]) with the actuator at
+/// position[l], the store at store_v[l] >= 0 and the displacement-
+/// amplitude envelope at z_env[l] >= 0. All spans have the same length.
+struct envelope_lane_inputs {
+    std::span<const double> freq_hz;
+    std::span<const double> accel_amp_ms2;
+    std::span<const double> store_v;
+    std::span<const double> z_env;
+    std::span<const int> position;
+
+    std::size_t lanes() const noexcept { return freq_hz.size(); }
+};
+
+/// Where envelope_lanes() writes lane l's envelope_rates.
+struct envelope_lane_outputs {
+    std::span<double> amplitude_rate;
+    std::span<double> charge_current_a;
+};
+
+/// Caller-owned work arrays for envelope_lanes(): k_rows double rows and
+/// k_masks byte rows of lanes() entries each. A backend uses them as it
+/// likes, so the model itself stays stateless and thread-safe. Sized once
+/// per system; width 1 lives inline, so a scalar caller allocates nothing.
+class envelope_scratch {
+public:
+    static constexpr std::size_t k_rows = 16;
+    static constexpr std::size_t k_masks = 3;
+
+    explicit envelope_scratch(std::size_t lanes);
+
+    std::size_t lanes() const noexcept { return lanes_; }
+    double* row(std::size_t k) noexcept {
+        return (lanes_ == 1 ? one_row_ : rows_.data()) + k * lanes_;
+    }
+    std::uint8_t* mask(std::size_t k) noexcept {
+        return (lanes_ == 1 ? one_mask_ : masks_.data()) + k * lanes_;
+    }
+
+private:
+    std::size_t lanes_;
+    std::vector<double> rows_;
+    std::vector<std::uint8_t> masks_;
+    double one_row_[k_rows] = {};
+    std::uint8_t one_mask_[k_masks] = {};
 };
 
 /// Full transient ODE system of one harvester: mechanics + conditioning
@@ -128,14 +177,26 @@ public:
                                      int position, double store_v,
                                      const power::rectifier_params& rect) const = 0;
 
-    /// Envelope RHS at one operating point: amplitude relaxation rate for
-    /// the current envelope value `z_env` plus the average charging
-    /// current the conditioning circuit delivers at store voltage
-    /// `store_v`. `efficiency` applies to the mppt conditioning kind only.
-    virtual envelope_rates envelope_dynamics(
-        double freq_hz, double accel_amp_ms2, int position, double store_v,
-        double z_env, conditioning_kind conditioning, double efficiency,
-        const power::rectifier_params& rect) const = 0;
+    /// The envelope hook: envelope RHS of every lane of `in` — amplitude
+    /// relaxation rate for the current envelope value z_env plus the
+    /// average current the conditioning circuit delivers at store_v —
+    /// written to `out`. `efficiency` applies to the mppt conditioning kind
+    /// only. `scratch` must hold at least in.lanes() lanes. Lane-wise
+    /// (see the numerical contract above) and allocation-free.
+    virtual void envelope_lanes(const envelope_lane_inputs& in,
+                                conditioning_kind conditioning,
+                                double efficiency,
+                                const power::rectifier_params& rect,
+                                envelope_scratch& scratch,
+                                const envelope_lane_outputs& out) const = 0;
+
+    /// envelope_lanes() at one operating point (width 1).
+    envelope_rates envelope_dynamics(double freq_hz, double accel_amp_ms2,
+                                     int position, double store_v,
+                                     double z_env,
+                                     conditioning_kind conditioning,
+                                     double efficiency,
+                                     const power::rectifier_params& rect) const;
 
     /// Steady-state phase lag between excitation and displacement — the
     /// measurement tap the fine-tuning controller's phase detector reads.

@@ -5,9 +5,12 @@
 // ramp, spring softening, charge-pump extraction, and the envelope /
 // transient energy agreement the equivalent-damping construction promises.
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +95,93 @@ TEST(HarvesterRegistry, TuningTableAcceptsEveryEntry) {
         for (int pos : {0, 17, 128, 255})
             EXPECT_EQ(table.lookup(model->resonant_frequency(pos)), pos)
                 << info.name;
+    }
+}
+
+/// Bitwise double equality (EXPECT_EQ would also accept -0.0 == 0.0).
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(HarvesterRegistry, EnvelopeHookIsLaneWise) {
+    // Operating points spanning the physics: tuned and detuned drive, a
+    // blocked bridge (store far above the emf), an unprimed pump, an end-
+    // stop-clipped amplitude, and a mass at rest.
+    struct point {
+        double f, a, v, z_scale;
+        int pos;
+    };
+    const std::vector<point> pts = {
+        {69.0, 0.59, 2.8, 1.0, 100},  {69.0, 0.59, 2.8, 0.5, 100},
+        {74.0, 0.59, 2.8, 1.2, 100},  {69.0, 0.59, 50.0, 1.0, 100},
+        {69.0, 0.59, 0.1, 1.0, 100},  {69.0, 0.59, 0.0, 1.0, 100},
+        {80.0, 5.0, 2.5, 1.0, 170},   {66.0, 0.3, 3.3, 0.0, 30},
+        {85.0, 0.9, 1.9, 2.0, 255},   {64.0, 0.59, 2.8, 1.0, 0},
+        {72.0, 0.0, 2.8, 0.0, 128},   {90.0, 0.59, 2.2, 0.7, 200},
+        {60.0, 1.2, 2.9, 1.1, 12},
+    };
+    const power::rectifier_params rect;
+    for (const eh::harvester_info& info : eh::harvester_registry()) {
+        const auto model = eh::make_harvester(info.name);
+        const std::size_t B = pts.size();
+        std::vector<double> f(B), a(B), v(B), z(B);
+        std::vector<int> pos(B);
+        for (std::size_t l = 0; l < B; ++l) {
+            const point& p = pts[l];
+            f[l] = p.f;
+            a[l] = p.a;
+            v[l] = p.v;
+            pos[l] = p.pos;
+            z[l] = p.z_scale *
+                   model->initial_amplitude(p.f, p.a, p.pos, p.v, rect);
+        }
+        for (const auto cond : {eh::conditioning_kind::diode_bridge,
+                                eh::conditioning_kind::mppt}) {
+            const std::string what =
+                info.name +
+                (cond == eh::conditioning_kind::mppt ? "/mppt" : "/bridge");
+            std::vector<double> rate(B), current(B);
+            eh::envelope_scratch wide(B);
+            model->envelope_lanes({f, a, v, z, pos}, cond, 0.8, rect, wide,
+                                  {rate, current});
+            for (std::size_t l = 0; l < B; ++l) {
+                double one_rate = 0.0;
+                double one_current = 0.0;
+                eh::envelope_scratch one(1);
+                model->envelope_lanes(
+                    {{&f[l], 1}, {&a[l], 1}, {&v[l], 1}, {&z[l], 1},
+                     {&pos[l], 1}},
+                    cond, 0.8, rect, one, {{&one_rate, 1}, {&one_current, 1}});
+                EXPECT_TRUE(same_bits(rate[l], one_rate))
+                    << what << " lane " << l << ": " << rate[l] << " vs "
+                    << one_rate;
+                EXPECT_TRUE(same_bits(current[l], one_current))
+                    << what << " lane " << l << ": " << current[l] << " vs "
+                    << one_current;
+                EXPECT_TRUE(std::isfinite(one_rate) &&
+                            std::isfinite(one_current))
+                    << what << " lane " << l;
+
+                const eh::envelope_rates point_rates = model->envelope_dynamics(
+                    f[l], a[l], pos[l], v[l], z[l], cond, 0.8, rect);
+                EXPECT_TRUE(same_bits(point_rates.amplitude_rate, one_rate))
+                    << what << " wrapper lane " << l;
+                EXPECT_TRUE(same_bits(point_rates.charge_current_a, one_current))
+                    << what << " wrapper lane " << l;
+            }
+        }
+        // initial_amplitude and the RHS share one root-solve, so the
+        // envelope starts exactly at rest on its own steady state.
+        for (const point& p : pts) {
+            const double z0 = model->initial_amplitude(p.f, p.a, p.pos, p.v, rect);
+            EXPECT_EQ(model
+                          ->envelope_dynamics(p.f, p.a, p.pos, p.v, z0,
+                                              eh::conditioning_kind::diode_bridge,
+                                              0.8, rect)
+                          .amplitude_rate,
+                      0.0)
+                << info.name << " at " << p.f << " Hz, position " << p.pos;
+        }
     }
 }
 

@@ -112,13 +112,14 @@ inline void check_cache_bit_equality(const spec::experiment_spec& s) {
     }
 }
 
-/// Equivalence of a batch-kernel result with its scalar counterpart. The
-/// batch path solves the same envelope fixed point with a polynomial
-/// asin, so continuous fields agree to solver tolerance rather than bit
-/// for bit, and event-driven integer counters may shift by a count or
-/// two when a decision threshold is crossed within that tolerance.
-/// ode_steps is not compared at all — step-size control legitimately
-/// differs at the last ulp.
+/// Equivalence of a batch-kernel result with its scalar counterpart. Both
+/// paths call the same lane-span envelope hook, but the scalar and batch
+/// RK45 loops round their step-size arithmetic differently, so
+/// continuous fields agree to a tolerance rather than bit for bit, and
+/// event-driven integer counters may shift by a count or two should a
+/// decision threshold fall within that rounding. ode_steps is not
+/// compared at all — step-size control legitimately differs at the last
+/// ulp.
 inline void require_results_equivalent(const dse::evaluation_result& a,
                                        const dse::evaluation_result& b,
                                        const std::string& what) {
