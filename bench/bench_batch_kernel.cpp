@@ -1,10 +1,10 @@
 // Batch-kernel throughput: the paper's 10-point D-optimal workload
-// evaluated per-config through the scalar envelope path versus in one
-// SoA batch through system_evaluator::evaluate_batch, on one thread.
-// Both rates are perf-gated against BENCH_batch_kernel.json (>15%
-// regression fails, scripts/check_perf.sh). Both paths run the same
-// envelope physics, so the printed speedup is lane amortisation alone
-// and is informational.
+// evaluated per-config through evaluate() versus in one SoA batch through
+// system_evaluator::evaluate_batch, on one thread. Both rates are
+// perf-gated against BENCH_batch_kernel.json (>15% regression fails,
+// scripts/check_perf.sh). evaluate() runs the same batch kernel at
+// width 1 (its metric keeps the historical "scalar" name), so the
+// printed speedup is lane amortisation alone and is informational.
 #include <algorithm>
 #include <cstdio>
 #include <vector>

@@ -1,14 +1,15 @@
 // Harvester-backend throughput: the paper's 10-point D-optimal workload
-// evaluated through every registered harvester backend, scalar envelope
-// path versus evaluate_batch, on one thread. Registry-driven: a new
+// evaluated through every registered harvester backend, evaluate() per
+// config (the batch kernel at width 1; the metrics keep the historical
+// "scalar" name) versus evaluate_batch, on one thread. Registry-driven: a new
 // backend joins this table (and the perf gate) just by registering.
 //
 // What the gate pins (scripts/check_perf.sh, baseline
 // BENCH_harvester_backends.json at the repo root):
 //   * <name>_scalar_evals_per_s / <name>_batch_evals_per_s hold the
-//     >-15% regression rule per backend. Scalar and batch runs call the
-//     same lane-span envelope hook (width 1 vs width B), so a backend's
-//     physics cannot decay on one path only;
+//     >-15% regression rule per backend. Both run the one envelope
+//     kernel (width 1 vs width B), so a backend's physics cannot decay
+//     on one path only;
 //   * <name>_batch_speedup is informational: with the physics shared it
 //     measures the batch kernel's lane amortisation, nothing else.
 #include <algorithm>

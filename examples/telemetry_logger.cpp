@@ -7,13 +7,15 @@
 //   ./build/examples/telemetry_logger > telemetry.csv
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <numbers>
 
-#include "dse/envelope_system.hpp"
+#include "dse/batch_envelope_system.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "harvester/tuning_table.hpp"
 #include "mcu/tuning_controller.hpp"
 #include "node/sensor_node.hpp"
+#include "power/supercapacitor.hpp"
 
 int main() {
     using namespace ehdse;
@@ -23,17 +25,18 @@ int main() {
     const auto vib =
         harvester::vibration_source::stepped_mg(60.0, 64.0, 5.0, 900.0, 1);
 
-    dse::envelope_system system(em, vib);
+    // One node: the envelope model at width 1, driven through lane 0.
+    dse::batch_envelope_system system(
+        em, vib, std::make_shared<power::supercapacitor>(), {}, 1);
     auto x0 = system.initial_state(2.85, table.lookup(64.0));
     sim::ode_options ode;
     ode.max_dt = 5.0;
-    sim::simulator sim(system, std::move(x0), ode);
-    system.attach(sim);
+    sim::batch_simulator bsim(system, std::move(x0), ode);
 
     node::node_params np;
     np.fast_interval_s = 10.0;
-    node::sensor_node node(sim, system, np);
-    mcu::tuning_controller controller(sim, system, table, {});
+    node::sensor_node node(bsim.lane(0), system.plant(0), np);
+    mcu::tuning_controller controller(bsim.lane(0), system.plant(0), table, {});
 
     // Environment: a slow daily swing plus a mild machine-heating ramp.
     node.enable_telemetry([](double t) {
@@ -41,7 +44,7 @@ int main() {
                1.5e-3 * std::min(t, 1800.0) / 60.0;
     });
 
-    sim.run_until(1800.0);
+    bsim.run_until(1800.0);
 
     std::fprintf(stderr,
                  "received %zu packets over 30 minutes (radio has no ACKs; "

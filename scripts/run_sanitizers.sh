@@ -6,7 +6,7 @@
 #   address   ASan+UBSan (-fsanitize=address,undefined): lifetime and UB
 #
 # Each preset gets its own build tree (build-<preset>) and runs
-#   ctest -L "testkit|exec|rsm|svc|harvester"
+#   ctest -L "testkit|exec|rsm|svc|harvester|spec"
 # The svc label includes the service soak (svc_soak_test), so the TSan
 # pass exercises hundreds of concurrent submissions through the server's
 # reader threads, runner tasks and shared caches. The exec label carries
@@ -14,7 +14,9 @@
 # batched single-flight cache path, so TSan sees evaluate_batch driven
 # from pool tasks too. The harvester label runs the backend-registry and
 # electrostatic device suites, so both device classes' physics hooks get
-# the lifetime/UB pass as well.
+# the lifetime/UB pass as well. The spec label covers the spec-JSON and
+# wire codec (spec parsing, schema migration, canonical hashing) — the
+# code that parses untrusted bytes from clients.
 # Usage:
 #   scripts/run_sanitizers.sh              # both presets
 #   EHDSE_SANITIZE=address scripts/run_sanitizers.sh   # one preset
@@ -24,7 +26,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 presets="${EHDSE_SANITIZE:-thread address}"
-labels='testkit|exec|rsm|svc|harvester'
+labels='testkit|exec|rsm|svc|harvester|spec'
 status=0
 
 for preset in $presets; do

@@ -5,6 +5,12 @@
 
 namespace ehdse::dse {
 
+harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept {
+    return kind == frontend_kind::mppt
+               ? harvester::conditioning_kind::mppt
+               : harvester::conditioning_kind::diode_bridge;
+}
+
 batch_envelope_system::batch_envelope_system(
     const harvester::harvester_model& model,
     const harvester::vibration_source& vib,
@@ -52,8 +58,6 @@ std::vector<double> batch_envelope_system::initial_state(
             "batch_envelope_system: negative initial voltage");
     for (std::size_t l = 0; l < lanes_; ++l)
         plant(l).set_position(initial_position);
-    // Identical to the scalar system's initial state so both paths start
-    // from the same point.
     std::vector<double> x(k_state_count, 0.0);
     x[ix_voltage] = v0;
     x[ix_amplitude] = model_.initial_amplitude(vib_.frequency_at(0.0),
@@ -63,18 +67,17 @@ std::vector<double> batch_envelope_system::initial_state(
 }
 
 sim::ode_options batch_envelope_system::suggested_ode_options() const {
-    // Identical to envelope_system::suggested_ode_options().
     sim::ode_options ode;
-    ode.abs_tol = 1e-8;
+    ode.abs_tol = 1e-8;   // volts-scale states: ~10 nV step error
     ode.rel_tol = 1e-6;
     ode.initial_dt = 1e-3;
-    ode.max_dt = 5.0;
+    ode.max_dt = 5.0;     // resolve watchdog/settling dynamics comfortably
     return ode;
 }
 
 void batch_envelope_system::derivatives(
     std::span<const double> t, const sim::batch_state& x,
-    sim::batch_state& dxdt, std::span<const std::uint8_t> /*active*/) const {
+    sim::batch_state& dxdt) const {
     // Full-width computation: lanes the integrator masked out get
     // (ignored) values computed too — cheaper than breaking the hook's
     // lane loops up.
@@ -88,28 +91,34 @@ void batch_envelope_system::derivatives(
 
     // Per-lane stimulus. The schedule lookups are scalar per lane
     // (piecewise-constant, a handful of segments) — negligible next to
-    // the harvester physics.
+    // the harvester physics. Local row pointers: the out-of-line lookups
+    // would otherwise force the member vectors' buffers to be reloaded.
+    double* v = v_.data();
+    double* z = z_.data();
+    double* freq = freq_.data();
+    double* accel = accel_.data();
+    double* i_charge = i_charge_.data();
     for (std::size_t l = 0; l < B; ++l) {
-        v_[l] = std::max(xv[l], 0.0);
-        z_[l] = std::max(xz[l], 0.0);
-        freq_[l] = vib_.frequency_at(t[l]);
-        accel_[l] = vib_.amplitude_at(t[l]);
+        v[l] = std::max(xv[l], 0.0);
+        z[l] = std::max(xz[l], 0.0);
+        freq[l] = vib_.frequency_at(t[l]);
+        accel[l] = vib_.amplitude_at(t[l]);
     }
 
-    model_.envelope_lanes({freq_, accel_, v_, z_, position_},
+    model_.envelope_lanes({{freq, B}, {accel, B}, {v, B}, {z, B}, position_},
                           conditioning_of(frontend_), frontend_efficiency_,
-                          rect_, scratch_, {{dz, B}, i_charge_});
+                          rect_, scratch_, {{dz, B}, {i_charge, B}});
 
     // Common tail: sustained loads, storage dynamics, energy integrals.
     // Per-lane load banks and the (shared, virtual) storage model run
     // scalar — they are event-rate-configured and cheap next to the
     // harvester physics.
+    const power::storage_model& storage = *storage_;
     for (std::size_t l = 0; l < B; ++l) {
-        const double v = v_[l];
-        const double i_loads = loads_[l].total_current(v);
-        dv[l] = storage_->dv_dt(v, i_charge_[l] - i_loads);
-        dh[l] = v * i_charge_[l];
-        de[l] = v * i_loads;
+        const double i_loads = loads_[l].total_current(v[l]);
+        dv[l] = storage.dv_dt(v[l], i_charge[l] - i_loads);
+        dh[l] = v[l] * i_charge[l];
+        de[l] = v[l] * i_loads;
     }
 }
 
@@ -152,8 +161,8 @@ double batch_envelope_system::lane_plant::vibration_frequency() const {
 }
 
 double batch_envelope_system::lane_plant::phase_lag() const {
-    // Event-rate measurement tap through the same model hook as the scalar
-    // system, so it is bit-faithful at the same (t, V, position).
+    // Event-rate measurement tap: the model's steady-state phase at the
+    // lane's (t, V, position).
     const double tnow = owner_->bsim().now(lane_);
     const double v = storage_voltage();
     return owner_->model_.phase_lag(owner_->vib_.frequency_at(tnow),

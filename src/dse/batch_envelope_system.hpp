@@ -1,19 +1,33 @@
-// SoA batch implementation of the envelope-mode node system: B design
-// points with identical analogue structure advance in lockstep.
+// The complete sensor-node system as an envelope-mode analogue model —
+// SoA over B design points with identical analogue structure, advanced in
+// lockstep by sim::batch_simulator. It is the only envelope-fidelity
+// node model: system_evaluator runs a single evaluate() as a batch of one.
+//
+// Continuous states, per lane:
+//   V      supercapacitor voltage
+//   z_env  mechanical displacement-amplitude envelope (relaxes towards the
+//          cycle-averaged steady state with the physical time constant
+//          2m / c_total)
+//   E_h    cumulative energy delivered into the store
+//   E_l    cumulative energy consumed by sustained loads
 //
 // The system is backend-blind. It owns the lane plumbing — per-lane
 // actuator position, load bank, energy ledger and plant handle — and the
 // slow states; the harvester physics comes from the registry entry's
 // lane-span envelope hook (harvester_model::envelope_lanes), called once
-// per RHS for all lanes. That is the same hook the scalar envelope_system
-// calls at width 1, so a lane here computes exactly what the scalar
-// system computes: for the electromagnetic device the lockstep damping
-// bisection of harvester/envelope.cpp, for the electrostatic one its
+// per RHS for all lanes: for the electromagnetic device the lockstep
+// damping solve of harvester/envelope.cpp, for the electrostatic one its
 // closed form.
+//
+// Digital processes drive lane l through plant(l): instantaneous charge
+// withdrawals (transmission bursts, MCU activity), sustained draws (sleep
+// floors), actuator position changes, and the measurement taps (true
+// vibration frequency, true phase lag) on which the controller's noisy
+// measurement models operate.
 //
 // Lanes are independent: shared (read-only) model, vibration source and
 // storage model. One instance hosts one batch_simulator run and is not
-// thread-safe across concurrent runs — evaluate_batch builds one per call.
+// thread-safe across concurrent runs — the evaluator builds one per call.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dse/envelope_system.hpp"
 #include "harvester/harvester_model.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
@@ -32,18 +45,28 @@
 #include "power/storage.hpp"
 #include "sim/batch_ode.hpp"
 #include "sim/batch_simulator.hpp"
+#include "spec/experiment_spec.hpp"
 
 namespace ehdse::dse {
 
+/// Power-conditioning front-end between coil and store — canonical
+/// definition lives with the experiment spec (spec::frontend_kind); this
+/// alias keeps the historical dse:: spelling working.
+using frontend_kind = spec::frontend_kind;
+
+/// spec::frontend_kind -> the harvester-layer conditioning enum (the
+/// harvester library cannot depend on spec).
+harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept;
+
 class batch_envelope_system final : public sim::batch_analog_system {
 public:
-    // Same state layout as the scalar envelope_system.
-    static constexpr std::size_t ix_voltage = envelope_system::ix_voltage;
-    static constexpr std::size_t ix_amplitude = envelope_system::ix_amplitude;
-    static constexpr std::size_t ix_harvested = envelope_system::ix_harvested;
-    static constexpr std::size_t ix_load_energy =
-        envelope_system::ix_load_energy;
-    static constexpr std::size_t k_state_count = envelope_system::k_state_count;
+    enum state_index : std::size_t {
+        ix_voltage = 0,
+        ix_amplitude = 1,
+        ix_harvested = 2,
+        ix_load_energy = 3,
+        k_state_count = 4,
+    };
 
     /// `model` and `vib` must outlive the system; `storage` is shared
     /// read-only across lanes.
@@ -52,18 +75,19 @@ public:
                           std::shared_ptr<const power::storage_model> storage,
                           power::rectifier_params rect, std::size_t lanes);
 
-    /// Bind the batch simulator whose state the per-lane plants read/write.
-    void attach(sim::batch_simulator& bsim) { bsim_ = &bsim; }
-
-    /// Select the power front-end for every lane (default: diode bridge).
+    /// Select the power front-end for every lane (default: the paper's
+    /// diode bridge). `efficiency` applies to the mppt kind only; must be
+    /// in (0, 1].
     void set_frontend(frontend_kind kind, double efficiency = 0.75);
+    frontend_kind frontend() const noexcept { return frontend_; }
 
     /// Initial state shared by all lanes (identical scenario => identical
     /// start): store at v0, amplitude at the model's converged steady
-    /// state. Also sets every lane's actuator position.
+    /// state so t=0 is not an artificial transient. Also sets every lane's
+    /// actuator position.
     std::vector<double> initial_state(double v0, int initial_position);
 
-    /// Same integration defaults as the scalar envelope system.
+    /// Volts-scale tolerances; max_dt resolves watchdog/settling dynamics.
     sim::ode_options suggested_ode_options() const;
 
     /// Per-lane plant handle for the digital processes of lane l.
@@ -76,9 +100,10 @@ public:
     // --- batch_analog_system ---
     std::size_t state_size() const override { return k_state_count; }
     std::size_t lanes() const override { return lanes_; }
+    /// Bind the batch simulator whose state the per-lane plants read/write.
+    void attach(sim::batch_simulator& bsim) override { bsim_ = &bsim; }
     void derivatives(std::span<const double> t, const sim::batch_state& x,
-                     sim::batch_state& dxdt,
-                     std::span<const std::uint8_t> active) const override;
+                     sim::batch_state& dxdt) const override;
 
 private:
     /// harvester::plant over one lane of this system.

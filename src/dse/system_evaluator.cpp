@@ -1,12 +1,10 @@
 #include "dse/system_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <memory>
-#include <stdexcept>
 
-#include "dse/batch_envelope_system.hpp"
+#include "dse/transient_system.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
@@ -56,58 +54,40 @@ system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
 
 namespace {
 
-/// Shared digital wiring + run loop over any node_system: the system
-/// supplies its own integration defaults and state layout, so neither
-/// fidelity branch threads index/ode plumbing through here.
-evaluation_result run_simulation(node_system& system, const scenario& scn,
-                                 const harvester::tuning_table& table,
-                                 const node::node_params& node_params,
-                                 const mcu::controller_params& ctrl_params,
-                                 const evaluation_options& options,
-                                 int start_position) {
-    const node_system::state_map ix = system.states();
-    std::vector<double> x0 = system.initial_state(scn.v_initial, start_position);
-    sim::simulator sim(system, std::move(x0), system.suggested_ode_options());
-    system.attach(sim);
+/// The digital side of one design point: node and controller parameters
+/// with the config's knobs applied.
+struct digital_params {
+    node::node_params node;
+    mcu::controller_params controller;
+};
 
-    node::sensor_node node(sim, system, node_params, /*first_wake_s=*/0.0);
-    mcu::tuning_controller controller(sim, system, table, ctrl_params);
+digital_params digital_for(const system_config& config,
+                           const evaluation_options& options,
+                           const node::node_params& node_base,
+                           const mcu::controller_params& ctrl_base) {
+    digital_params p{node_base, ctrl_base};
+    p.node.fast_interval_s = config.tx_interval_s;
+    p.controller.mcu.clock_hz = config.mcu_clock_hz;
+    p.controller.watchdog_period_s = config.watchdog_period_s;
+    p.controller.rng_seed = options.controller_seed;
+    return p;
+}
 
-    evaluation_result out;
-    double v_min = scn.v_initial;
-    double v_max = scn.v_initial;
-    sim.add_step_observer([&](double, std::span<const double> x) {
-        const double v = x[ix.voltage];
-        v_min = std::min(v_min, v);
-        v_max = std::max(v_max, v);
-    });
+/// Actuator position at t = 0: the scenario's, else the firmware LUT's
+/// entry for the starting frequency.
+int start_position(const scenario& scn, const harvester::tuning_table& table) {
+    if (scn.initial_position >= 0) return scn.initial_position;
+    return table.lookup(scn.frequency_schedule.empty()
+                            ? scn.f_start_hz
+                            : scn.frequency_schedule.front().second);
+}
 
-    if (options.record_traces) {
-        out.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
-        out.position_trace.emplace("actuator_position", options.trace_interval_s);
-        sim.add_step_observer([&](double t, std::span<const double> x) {
-            out.voltage_trace->record(t, x[ix.voltage]);
-            out.position_trace->record(t, static_cast<double>(system.position()));
-        });
-    }
-
-    out.sim_ok = sim.run_until(scn.duration_s);
-
-    out.transmissions = node.transmissions();
-    out.suppressed_wakeups = node.suppressed_wakeups();
-    out.low_band_transmissions = node.low_band_transmissions();
-    out.tuning = controller.stats();
-    out.final_voltage_v = sim.state_at(ix.voltage);
-    out.min_voltage_v = v_min;
-    out.max_voltage_v = v_max;
-    out.harvested_energy_j = sim.state_at(ix.harvested);
-    if (ix.load_energy) out.sustained_load_energy_j = sim.state_at(*ix.load_energy);
-    out.ledger = system.ledger();
-    out.withdrawn_energy_j = out.ledger.grand_total();
-    out.ode_steps = sim.total_steps();
-    out.ode_steps_rejected = sim.total_rejected_steps();
-    out.events = sim.total_events();
-    return out;
+/// The evaluator's storage override, else the supercapacitor from `cap`.
+std::shared_ptr<const power::storage_model> storage_or(
+    std::shared_ptr<const power::storage_model> storage,
+    const power::supercapacitor_params& cap) {
+    if (storage) return storage;
+    return std::make_shared<power::supercapacitor>(cap);
 }
 
 /// Book one finished run into the process-wide metrics sink, if attached.
@@ -123,48 +103,6 @@ void record_run_metrics(const evaluation_result& r) {
         .observe(static_cast<double>(r.transmissions));
 }
 
-}  // namespace
-
-evaluation_result system_evaluator::evaluate(const system_config& config,
-                                             const evaluation_options& options) const {
-    ++runs_;
-    const obs::stopwatch watch;
-
-    // Per-run stimulus — evaluations are independent experiments.
-    const harvester::vibration_source vib = scenario_.make_vibration();
-    const double f_start = scenario_.frequency_schedule.empty()
-                               ? scenario_.f_start_hz
-                               : scenario_.frequency_schedule.front().second;
-    const int start_position = scenario_.initial_position >= 0
-                                   ? scenario_.initial_position
-                                   : table_.lookup(f_start);
-
-    // Digital side: configure per the design point.
-    node::node_params node_params = node_;
-    node_params.fast_interval_s = config.tx_interval_s;
-    mcu::controller_params ctrl_params = controller_;
-    ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
-    ctrl_params.watchdog_period_s = config.watchdog_period_s;
-    ctrl_params.rng_seed = options.controller_seed;
-
-    const std::unique_ptr<node_system> system =
-        build_system(config, options, vib);
-    evaluation_result out = run_simulation(*system, scenario_, table_,
-                                           node_params, ctrl_params, options,
-                                           start_position);
-    out.wall_time_s = watch.seconds();
-    record_run_metrics(out);
-    return out;
-}
-
-std::unique_ptr<node_system> system_evaluator::build_system(
-    const system_config& /*config*/, const evaluation_options& options,
-    const harvester::vibration_source& vib) const {
-    return make_node_system(options, *model_, vib, storage_, cap_, rect_);
-}
-
-namespace {
-
 /// Book one finished batch into the dse.batch.* metrics, if attached.
 void record_batch_metrics(std::size_t lanes, bool fallback) {
     obs::metrics_registry* reg = obs::global_registry();
@@ -177,120 +115,174 @@ void record_batch_metrics(std::size_t lanes, bool fallback) {
     reg->get_counter("dse.batch.lanes").add(lanes);
 }
 
-/// One lockstep sweep over `chunk` through the batch kernel. Fills every
-/// result field except wall_time_s, which the caller attributes.
-void run_batch_chunk(batch_envelope_system& system,
-                     std::span<const system_config> chunk,
-                     std::span<evaluation_result> results, const scenario& scn,
-                     const harvester::tuning_table& table,
-                     const node::node_params& node_base,
-                     const mcu::controller_params& ctrl_base,
-                     const evaluation_options& options, int start_position) {
-    const std::size_t lanes = chunk.size();
-    system.set_frontend(options.frontend, options.frontend_efficiency);
-    std::vector<double> x0 = system.initial_state(scn.v_initial, start_position);
-    sim::batch_simulator bsim(system, std::move(x0),
-                              system.suggested_ode_options());
-    system.attach(bsim);
-
-    // Digital side per lane, wired exactly as the scalar run wires its
-    // single design point (node first, then controller — the per-lane
-    // event queues preserve the scalar FIFO order).
-    std::deque<node::sensor_node> nodes;
-    std::deque<mcu::tuning_controller> controllers;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const system_config& config = chunk[l];
-        node::node_params node_params = node_base;
-        node_params.fast_interval_s = config.tx_interval_s;
-        mcu::controller_params ctrl_params = ctrl_base;
-        ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
-        ctrl_params.watchdog_period_s = config.watchdog_period_s;
-        ctrl_params.rng_seed = options.controller_seed;
-        nodes.emplace_back(bsim.lane(l), system.plant(l), node_params,
-                           /*first_wake_s=*/0.0);
-        controllers.emplace_back(bsim.lane(l), system.plant(l), table,
-                                 ctrl_params);
-    }
-    bsim.watch_range(batch_envelope_system::ix_voltage);
-
-    bsim.run_until(scn.duration_s);
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        evaluation_result& r = results[l];
-        r.sim_ok = bsim.lane_ok(l);
-        r.transmissions = nodes[l].transmissions();
-        r.suppressed_wakeups = nodes[l].suppressed_wakeups();
-        r.low_band_transmissions = nodes[l].low_band_transmissions();
-        r.tuning = controllers[l].stats();
-        r.final_voltage_v = bsim.state_at(l, batch_envelope_system::ix_voltage);
-        r.min_voltage_v = bsim.watched_min(l);
-        r.max_voltage_v = bsim.watched_max(l);
-        r.harvested_energy_j =
-            bsim.state_at(l, batch_envelope_system::ix_harvested);
-        r.sustained_load_energy_j =
-            bsim.state_at(l, batch_envelope_system::ix_load_energy);
-        r.ledger = system.ledger(l);
-        r.withdrawn_energy_j = r.ledger.grand_total();
-        r.ode_steps = bsim.lane_steps(l);
-        r.ode_steps_rejected = bsim.lane_rejected_steps(l);
-        r.events = bsim.lane_events(l);
-    }
-}
-
 }  // namespace
+
+evaluation_result system_evaluator::evaluate(const system_config& config,
+                                             const evaluation_options& options) const {
+    if (options.model == fidelity::transient)
+        return run_transient(config, options);
+    evaluation_result out;
+    run_envelope({&config, 1}, options, {&out, 1});
+    return out;
+}
 
 std::vector<evaluation_result> system_evaluator::evaluate_batch(
     const std::span<const system_config> configs,
     const evaluation_options& options) const {
     std::vector<evaluation_result> out(configs.size());
     if (configs.empty()) return out;
-
-    // The batch kernels cover the hot flow path: envelope fidelity, no
-    // traces. Everything else runs the scalar path per config.
-    if (options.model != fidelity::envelope || options.record_traces) {
+    if (options.model == fidelity::transient) {
         record_batch_metrics(configs.size(), /*fallback=*/true);
         for (std::size_t i = 0; i < configs.size(); ++i)
             out[i] = evaluate(configs[i], options);
         return out;
     }
+    run_envelope(configs, options, out);
+    return out;
+}
 
+std::unique_ptr<sim::batch_analog_system> system_evaluator::decorate_kernel(
+    batch_envelope_system& /*system*/, std::span<const system_config> /*chunk*/,
+    const evaluation_options& /*options*/) const {
+    return nullptr;
+}
+
+void system_evaluator::run_envelope(const std::span<const system_config> configs,
+                                    const evaluation_options& options,
+                                    const std::span<evaluation_result> out) const {
+    using ix = batch_envelope_system::state_index;
     for (std::size_t first = 0; first < configs.size();
          first += k_max_batch_lanes) {
         const std::size_t lanes =
             std::min(k_max_batch_lanes, configs.size() - first);
+        const std::span<const system_config> chunk = configs.subspan(first, lanes);
+        const std::span<evaluation_result> results = out.subspan(first, lanes);
         runs_ += lanes;
         const obs::stopwatch watch;
 
-        // Per-batch stimulus — same scenario for every lane, so one
+        // Per-chunk stimulus — same scenario for every lane, so one
         // vibration source is shared read-only across lanes.
         const harvester::vibration_source vib = scenario_.make_vibration();
-        const double f_start = scenario_.frequency_schedule.empty()
-                                   ? scenario_.f_start_hz
-                                   : scenario_.frequency_schedule.front().second;
-        const int start_position = scenario_.initial_position >= 0
-                                       ? scenario_.initial_position
-                                       : table_.lookup(f_start);
+        batch_envelope_system system(*model_, vib, storage_or(storage_, cap_),
+                                     rect_, lanes);
+        system.set_frontend(options.frontend, options.frontend_efficiency);
+        std::vector<double> x0 = system.initial_state(
+            scenario_.v_initial, start_position(scenario_, table_));
+        const std::unique_ptr<sim::batch_analog_system> decorated =
+            decorate_kernel(system, chunk, options);
+        sim::batch_simulator bsim(decorated ? *decorated : system, std::move(x0),
+                                  system.suggested_ode_options());
 
-        std::shared_ptr<const power::storage_model> storage = storage_;
-        if (!storage)
-            storage = std::make_shared<power::supercapacitor>(cap_);
-        const std::span<const system_config> chunk =
-            configs.subspan(first, lanes);
-        const std::span<evaluation_result> results(out.data() + first, lanes);
-        batch_envelope_system system(*model_, vib, std::move(storage), rect_,
-                                     lanes);
-        run_batch_chunk(system, chunk, results, scenario_, table_, node_,
-                        controller_, options, start_position);
+        // Digital side per lane: node first, then controller (each lane's
+        // event queue keeps that FIFO order for same-time events).
+        std::deque<node::sensor_node> nodes;
+        std::deque<mcu::tuning_controller> controllers;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const digital_params p = digital_for(chunk[l], options, node_, controller_);
+            nodes.emplace_back(bsim.lane(l), system.plant(l), p.node,
+                               /*first_wake_s=*/0.0);
+            controllers.emplace_back(bsim.lane(l), system.plant(l), table_,
+                                     p.controller);
+        }
+
+        std::vector<double> v_min(lanes, scenario_.v_initial);
+        std::vector<double> v_max(lanes, scenario_.v_initial);
+        bsim.add_step_observer([&](std::size_t l, double) {
+            const double v = bsim.state_at(l, ix::ix_voltage);
+            v_min[l] = std::min(v_min[l], v);
+            v_max[l] = std::max(v_max[l], v);
+        });
+        if (options.record_traces) {
+            for (evaluation_result& r : results) {
+                r.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
+                r.position_trace.emplace("actuator_position",
+                                         options.trace_interval_s);
+            }
+            bsim.add_step_observer([&](std::size_t l, double t) {
+                results[l].voltage_trace->record(t, bsim.state_at(l, ix::ix_voltage));
+                results[l].position_trace->record(
+                    t, static_cast<double>(system.plant(l).position()));
+            });
+        }
+
+        bsim.run_until(scenario_.duration_s);
 
         // Wall clock is shared by construction; attribute an even share to
         // each lane so throughput metrics stay meaningful.
-        const double wall_s = watch.seconds();
+        const double wall_s = watch.seconds() / static_cast<double>(lanes);
         for (std::size_t l = 0; l < lanes; ++l) {
-            out[first + l].wall_time_s = wall_s / static_cast<double>(lanes);
-            record_run_metrics(out[first + l]);
+            evaluation_result& r = results[l];
+            r.sim_ok = bsim.lane_ok(l);
+            r.transmissions = nodes[l].transmissions();
+            r.suppressed_wakeups = nodes[l].suppressed_wakeups();
+            r.low_band_transmissions = nodes[l].low_band_transmissions();
+            r.tuning = controllers[l].stats();
+            r.final_voltage_v = bsim.state_at(l, ix::ix_voltage);
+            r.min_voltage_v = v_min[l];
+            r.max_voltage_v = v_max[l];
+            r.harvested_energy_j = bsim.state_at(l, ix::ix_harvested);
+            r.sustained_load_energy_j = bsim.state_at(l, ix::ix_load_energy);
+            r.ledger = system.ledger(l);
+            r.withdrawn_energy_j = r.ledger.grand_total();
+            r.ode_steps = bsim.lane_steps(l);
+            r.ode_steps_rejected = bsim.lane_rejected_steps(l);
+            r.events = bsim.lane_events(l);
+            r.wall_time_s = wall_s;
+            record_run_metrics(r);
         }
         record_batch_metrics(lanes, /*fallback=*/false);
     }
+}
+
+evaluation_result system_evaluator::run_transient(
+    const system_config& config, const evaluation_options& options) const {
+    ++runs_;
+    const obs::stopwatch watch;
+    const harvester::vibration_source vib = scenario_.make_vibration();
+    transient_system system(*model_, vib, storage_or(storage_, cap_), rect_);
+    const std::size_t iv = system.voltage_index();
+    std::vector<double> x0 =
+        system.initial_state(scenario_.v_initial, start_position(scenario_, table_));
+    sim::simulator sim(system, std::move(x0), system.suggested_ode_options());
+    system.attach(sim);
+
+    const digital_params p = digital_for(config, options, node_, controller_);
+    node::sensor_node node(sim, system, p.node, /*first_wake_s=*/0.0);
+    mcu::tuning_controller controller(sim, system, table_, p.controller);
+
+    evaluation_result out;
+    double v_min = scenario_.v_initial;
+    double v_max = scenario_.v_initial;
+    sim.add_step_observer([&](double, std::span<const double> x) {
+        v_min = std::min(v_min, x[iv]);
+        v_max = std::max(v_max, x[iv]);
+    });
+    if (options.record_traces) {
+        out.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
+        out.position_trace.emplace("actuator_position", options.trace_interval_s);
+        sim.add_step_observer([&](double t, std::span<const double> x) {
+            out.voltage_trace->record(t, x[iv]);
+            out.position_trace->record(t, static_cast<double>(system.position()));
+        });
+    }
+
+    out.sim_ok = sim.run_until(scenario_.duration_s);
+
+    out.transmissions = node.transmissions();
+    out.suppressed_wakeups = node.suppressed_wakeups();
+    out.low_band_transmissions = node.low_band_transmissions();
+    out.tuning = controller.stats();
+    out.final_voltage_v = sim.state_at(iv);
+    out.min_voltage_v = v_min;
+    out.max_voltage_v = v_max;
+    out.harvested_energy_j = sim.state_at(system.harvested_index());
+    out.ledger = system.ledger();
+    out.withdrawn_energy_j = out.ledger.grand_total();
+    out.ode_steps = sim.total_steps();
+    out.ode_steps_rejected = sim.total_rejected_steps();
+    out.events = sim.total_events();
+    out.wall_time_s = watch.seconds();
+    record_run_metrics(out);
     return out;
 }
 

@@ -13,13 +13,13 @@
 #include <span>
 #include <vector>
 
-#include "dse/envelope_system.hpp"
-#include "dse/node_system.hpp"
+#include "dse/batch_envelope_system.hpp"
 #include "dse/system_config.hpp"
 #include "harvester/harvester_model.hpp"
 #include "harvester/tuning_table.hpp"
 #include "mcu/tuning_controller.hpp"
 #include "node/sensor_node.hpp"
+#include "power/supercapacitor.hpp"
 #include "sim/trace.hpp"
 #include "spec/experiment_spec.hpp"
 
@@ -60,13 +60,21 @@ struct evaluation_result {
 /// Reusable evaluator: fixed physics (harvester backend, scenario, node
 /// and controller base parameters), varying system_config per call.
 ///
-/// Polymorphic by design: evaluate() and the build_system() factory hook
-/// are virtual so test harnesses can interpose on the whole-request level
-/// (inject an exception before any simulation starts) or on the analogue
-/// model level (wrap the node_system with a fault decorator) — see
-/// testkit::faulty_evaluator. Everything downstream (cached_evaluator,
-/// run_rsm_flow) takes `const system_evaluator&`, so a wrapper threads
-/// through the entire flow unchanged.
+/// Envelope fidelity has exactly one simulation loop, the SoA batch kernel
+/// (batch_envelope_system on sim::batch_simulator): evaluate() runs it at
+/// width 1, evaluate_batch() at up to k_max_batch_lanes, so a design
+/// point's result is bit-identical whichever entry point (and batch)
+/// produced it. Transient fidelity runs transient_system on the scalar
+/// sim::simulator.
+///
+/// Polymorphic by design: evaluate() and evaluate_batch() are virtual so
+/// test harnesses and forwarders can interpose on the whole-request level
+/// (inject an exception before any simulation starts, route through a
+/// shared cache), and decorate_kernel() lets a fault harness wrap the
+/// envelope kernel's analogue model — see testkit::faulty_evaluator.
+/// Everything downstream (cached_evaluator, run_rsm_flow) takes
+/// `const system_evaluator&`, so a wrapper threads through the entire
+/// flow unchanged.
 class system_evaluator {
 public:
     /// Throws std::invalid_argument (offending field named) when the
@@ -109,24 +117,18 @@ public:
         storage_ = std::move(storage);
     }
 
-    /// Run the full mixed-signal simulation for `config`. The analogue
-    /// model is chosen by options.model via make_node_system().
+    /// Run the full mixed-signal simulation for `config`: the envelope
+    /// kernel at width 1, or the transient model (options.model).
     virtual evaluation_result evaluate(
         const system_config& config,
         const evaluation_options& options = {}) const;
 
     /// Evaluate many configs against the same scenario/options in one
-    /// call. The default implementation routes envelope-fidelity,
-    /// untraced requests through the batch kernel
-    /// (batch_envelope_system, any registered backend) in chunks of at
-    /// most k_max_batch_lanes, and falls back to per-config evaluate()
-    /// for transient fidelity or when traces were requested. Results are
-    /// positional: out[i] corresponds to configs[i], and each lane's
-    /// result is independent of which other configs share its batch.
-    ///
-    /// Subclasses that interpose via evaluate()/build_system() (fault
-    /// wrappers, forwarders) MUST also override this — the batch kernel
-    /// does not call build_system().
+    /// call. Envelope fidelity runs the batch kernel in chunks of at most
+    /// k_max_batch_lanes; transient fidelity falls back to per-config
+    /// evaluate(). Results are positional: out[i] corresponds to
+    /// configs[i], and each lane's result is bit-identical to evaluate()
+    /// of the same config, whichever other configs share its batch.
     virtual std::vector<evaluation_result> evaluate_batch(
         std::span<const system_config> configs,
         const evaluation_options& options = {}) const;
@@ -145,16 +147,25 @@ public:
     /// the request, never on call order, stay deterministic under a pool).
 
 protected:
-    /// Factory for the per-call analogue model; evaluate() runs the shared
-    /// simulation loop against whatever this returns. The default builds
-    /// the envelope / transient system `options` asks for; fault wrappers
-    /// override it to decorate that system, keyed on (config, options).
-    /// `vib` is the stimulus of the current call and outlives the run.
-    virtual std::unique_ptr<node_system> build_system(
-        const system_config& config, const evaluation_options& options,
-        const harvester::vibration_source& vib) const;
+    /// Fault seam of the envelope kernel, called once per chunk before
+    /// the run: the analogue model the lockstep loop integrates in place
+    /// of `system` (typically a lane-wise decorator of it), or nullptr to
+    /// integrate `system` itself — the default. Lane l of `system` hosts
+    /// chunk[l]. The decorator is bound to the simulator through
+    /// sim::batch_analog_system::attach, so it may schedule per-lane
+    /// disturbances there.
+    virtual std::unique_ptr<sim::batch_analog_system> decorate_kernel(
+        batch_envelope_system& system, std::span<const system_config> chunk,
+        const evaluation_options& options) const;
 
 private:
+    /// The envelope kernel over `configs`, in chunks; fills `out`.
+    void run_envelope(std::span<const system_config> configs,
+                      const evaluation_options& options,
+                      std::span<evaluation_result> out) const;
+    evaluation_result run_transient(const system_config& config,
+                                    const evaluation_options& options) const;
+
     scenario scenario_;
     spec::harvester_spec harv_;
     std::shared_ptr<const harvester::harvester_model> model_;

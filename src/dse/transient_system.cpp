@@ -50,10 +50,6 @@ sim::ode_options transient_system::suggested_ode_options() const {
     return ode;
 }
 
-node_system::state_map transient_system::states() const {
-    return {rhs_->voltage_index(), rhs_->harvested_index(), std::nullopt};
-}
-
 double transient_system::storage_voltage() const {
     return sim().state_at(rhs_->voltage_index());
 }
@@ -80,7 +76,7 @@ double transient_system::vibration_frequency() const {
 }
 
 double transient_system::phase_lag() const {
-    // Same steady-state phase formula as the envelope plant: the fine-tuning
+    // Same steady-state phase formula as the envelope plants: the fine-tuning
     // loop waits 5 s after every move precisely so the transient has settled
     // onto this response when it measures.
     const double t = sim().now();

@@ -1,6 +1,6 @@
 // The complete sensor-node system over the FULL nonlinear transient model
-// — same digital processes, same plant interface as envelope_system, but
-// the analogue side resolves every vibration cycle and every conditioning-
+// — same digital processes, same plant interface as the envelope model
+// (batch_envelope_system's per-lane plants), but the analogue side resolves every vibration cycle and every conditioning-
 // circuit switching event. The per-cycle ODE system comes from the
 // harvester_model registry entry (harvester_model::make_transient).
 //
@@ -12,19 +12,21 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "dse/node_system.hpp"
 #include "harvester/harvester_model.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
 #include "power/load_bank.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/context.hpp"
+#include "sim/ode.hpp"
 
 namespace ehdse::dse {
 
-class transient_system final : public node_system {
+class transient_system final : public sim::analog_system,
+                               public harvester::plant {
 public:
     /// `model` and `vib` must outlive the system. Storage defaults to the
     /// paper's supercapacitor built from `cap`.
@@ -39,18 +41,22 @@ public:
                      std::shared_ptr<const power::storage_model> storage,
                      power::rectifier_params rect = {});
 
-    // --- node_system ---
-    void attach(sim::sim_context& sim) override { sim_ = &sim; }
+    /// Bind the simulator whose state vector this system reads/writes when
+    /// servicing plant calls. Must be called before the first event fires.
+    void attach(sim::sim_context& sim) { sim_ = &sim; }
 
     /// Initial state: mass at rest, store at v0, actuator at the position.
-    std::vector<double> initial_state(double v0, int initial_position) override;
+    std::vector<double> initial_state(double v0, int initial_position);
 
     /// Tight tolerances and an initial/maximum step resolving the fastest
-    /// resonance. The transient models fold sustained loads into dV/dt
-    /// directly, so states() reports no separate load-energy index.
-    sim::ode_options suggested_ode_options() const override;
+    /// resonance.
+    sim::ode_options suggested_ode_options() const;
 
-    state_map states() const override;
+    /// Where the storage voltage and the cumulative harvested energy live
+    /// in the state vector. The transient models fold sustained loads into
+    /// dV/dt directly, so there is no separate load-energy state.
+    std::size_t voltage_index() const { return rhs_->voltage_index(); }
+    std::size_t harvested_index() const { return rhs_->harvested_index(); }
 
     /// Integrator ceiling that resolves the fastest resonance.
     double suggested_max_dt() const;
@@ -71,9 +77,8 @@ public:
     double vibration_frequency() const override;
     double phase_lag() const override;
 
-    const power::energy_ledger& ledger() const noexcept override {
-        return ledger_;
-    }
+    /// Energy accounting of the discrete withdrawals.
+    const power::energy_ledger& ledger() const noexcept { return ledger_; }
     const harvester::harvester_model& model() const noexcept { return *model_; }
 
 private:

@@ -128,14 +128,19 @@ double electrostatic_harvester::bias_at(int position) const {
     return params_.bias_max_v - (params_.bias_max_v - params_.bias_min_v) * frac;
 }
 
-double electrostatic_harvester::effective_stiffness(int position) const {
+electrostatic_harvester::bias_point electrostatic_harvester::at_bias(
+    int position) const {
     const double u = bias_at(position) / params_.pull_in_voltage_v;
-    return k0_ * (1.0 - params_.softening_alpha * u * u);
+    return {k0_ * (1.0 - params_.softening_alpha * u * u),
+            params_.coupling_damping * u * u};
+}
+
+double electrostatic_harvester::effective_stiffness(int position) const {
+    return at_bias(position).stiffness;
 }
 
 double electrostatic_harvester::electrical_damping(int position) const {
-    const double u = bias_at(position) / params_.pull_in_voltage_v;
-    return params_.coupling_damping * u * u;
+    return at_bias(position).damping;
 }
 
 const std::string& electrostatic_harvester::name() const noexcept {
@@ -183,8 +188,13 @@ retune_cost electrostatic_harvester::actuator() const noexcept {
 
 double electrostatic_harvester::displacement_amplitude(
     double omega_rad, double accel_amp_ms2, int position) const {
-    const double k = effective_stiffness(position);
-    const double c_total = c_mech_ + electrical_damping(position);
+    return displacement_amplitude(omega_rad, accel_amp_ms2, at_bias(position));
+}
+
+double electrostatic_harvester::displacement_amplitude(
+    double omega_rad, double accel_amp_ms2, const bias_point& bias) const {
+    const double k = bias.stiffness;
+    const double c_total = c_mech_ + bias.damping;
     const double re = k - params_.mass_kg * omega_rad * omega_rad;
     const double im = c_total * omega_rad;
     const double denom = std::sqrt(re * re + im * im);
@@ -207,12 +217,12 @@ void electrostatic_harvester::envelope_lanes(
     // front-end selector (diode bridge / mppt) does not apply here, and
     // the closed form needs no root-solve, so each lane is one pass.
     for (std::size_t l = 0; l < in.lanes(); ++l) {
-        const int position = in.position[l];
+        const bias_point bias = at_bias(in.position[l]);
         const double omega = 2.0 * k_pi * in.freq_hz[l];
-        const double c_e = electrical_damping(position);
+        const double c_e = bias.damping;
         const double c_total = c_mech_ + c_e;
         const double target =
-            displacement_amplitude(omega, in.accel_amp_ms2[l], position);
+            displacement_amplitude(omega, in.accel_amp_ms2[l], bias);
         const double tau = 2.0 * params_.mass_kg / c_total;
         const double z_env = in.z_env[l];
         out.amplitude_rate[l] = (target - z_env) / tau;

@@ -116,6 +116,17 @@ public:
                                   int position) const;
 
 private:
+    /// Softened stiffness and charge-pump damping at one bias position.
+    struct bias_point {
+        double stiffness;
+        double damping;
+    };
+    /// Both from one bias lookup — the envelope hook needs both per lane
+    /// per RHS call.
+    bias_point at_bias(int position) const;
+    double displacement_amplitude(double omega_rad, double accel_amp_ms2,
+                                  const bias_point& bias) const;
+
     electrostatic_params params_;
     double k0_;
     double c_mech_;

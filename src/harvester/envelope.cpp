@@ -44,8 +44,8 @@ enum mask_row : std::size_t {
 };
 static_assert(k_masks_used <= envelope_scratch::k_masks);
 
-// Scratch rows of one lane, local to one solve. The width-1 paths (scalar
-// RHS, solve_envelope) use it with the compile-time width width_one:
+// Scratch rows of one lane, local to one solve. The width-1 paths (a
+// one-lane batch RHS, solve_envelope) use it with the compile-time width width_one:
 // every lane loop then runs once with constant indices, and the compiler
 // keeps the rows in registers instead of storing each one to memory and
 // loading it back in the next loop.
@@ -450,7 +450,7 @@ void envelope_lanes(const microgenerator& gen, const envelope_lane_inputs& in,
     if (s.lanes() < B)
         throw std::invalid_argument(
             "envelope_lanes: scratch narrower than the input");
-    if (B == 1) {  // the scalar RHS: rows in registers, `s` unused
+    if (B == 1) {  // one lane: rows in registers, `s` unused
         one_lane_scratch one;
         lanes_of(gen, width_one{}, in, conditioning, efficiency, rect, one,
                  out);

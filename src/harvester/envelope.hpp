@@ -18,9 +18,9 @@
 // That bisection exists once, as a lockstep solve over B lanes
 // (envelope.cpp): every trial is a few flat, branch-free lane loops that
 // GCC auto-vectorises, with a fitted polynomial asin in place of libm.
-// The batch kernel runs it at width B; solve_envelope, the electromagnetic
-// backend's scalar hooks and the scalar envelope system run it at width 1,
-// so all of them find the same root.
+// The batch kernel runs it at width B (width 1 for a single evaluate());
+// solve_envelope and the electromagnetic backend's per-point hooks run it
+// at width 1, so all of them find the same root.
 //
 // The result feeds the slow dynamics: the supercapacitor sees the averaged
 // charging current i_avg, and the mechanical amplitude relaxes towards the

@@ -10,7 +10,7 @@
 //                             relaxation rate and store charging current
 //                             for B operating points at once — the RHS
 //                             contribution the envelope fast path
-//                             integrates, scalar (B = 1) and batch alike;
+//                             integrates;
 //   * the transient RHS       make_transient(): the full per-cycle ODE
 //                             system for validation runs;
 //   * the retune energy cost  actuator(): what one tuning move costs the
@@ -23,9 +23,9 @@
 // Numerical contract: envelope_lanes / initial_amplitude / phase_lag are
 // pure functions of their arguments, and envelope_lanes is lane-wise:
 // lane l of a B-lane call equals a width-1 call on lane l's inputs
-// bitwise, whatever the other lanes hold. That is what lets the scalar
-// envelope system (width 1) and the batch kernel (width B) share one
-// implementation of each backend's physics.
+// bitwise, whatever the other lanes hold. That is what makes a design
+// point's envelope result independent of the batch it runs in (a single
+// evaluate() is a batch of one).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ class vibration_source;
 
 /// Power-conditioning mode of the envelope path. Mirrors
 /// spec::frontend_kind (spec depends on harvester, so the canonical enum
-/// cannot be referenced from here); dse::make_node_system maps between
+/// cannot be referenced from here); dse::conditioning_of maps between
 /// the two.
 enum class conditioning_kind {
     diode_bridge,  ///< passive bridge straight into the store

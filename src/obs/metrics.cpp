@@ -70,12 +70,18 @@ double histogram::quantile(double q) const {
         std::ceil(q * static_cast<double>(n)));
     std::uint64_t seen = underflow();
     if (seen >= target && seen > 0) return min();
+    const double lo = min();
+    const double hi = max();
     for (std::size_t b = 0; b < k_buckets; ++b) {
         seen += bucket(b);
-        if (seen >= target)
-            return 0.5 * (bucket_lower(b) + bucket_lower(b + 1));
+        if (seen >= target) {
+            // A bucket midpoint can lie outside what was observed (ten
+            // observations of 1153 share a bucket whose midpoint is ~1649).
+            const double mid = 0.5 * (bucket_lower(b) + bucket_lower(b + 1));
+            return lo <= hi ? std::clamp(mid, lo, hi) : mid;
+        }
     }
-    return max();
+    return hi;
 }
 
 json_value histogram::to_json() const {

@@ -98,8 +98,9 @@ public:
     /// k_buckets for overflow); exposed for the bucketing tests.
     static std::size_t bucket_index(double v) noexcept;
 
-    /// Approximate quantile (q in [0,1]) from the bucket midpoints;
-    /// under/overflow observations resolve to the range edges.
+    /// Approximate quantile (q in [0,1]) from the bucket midpoints,
+    /// clamped to [min(), max()]; under/overflow observations resolve to
+    /// the range edges.
     double quantile(double q) const;
 
     /// {count, sum, mean, min, max, p50, p90, p99, underflow, overflow,

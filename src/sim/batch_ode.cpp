@@ -19,8 +19,7 @@ std::vector<double> batch_state::lane_state(std::size_t lane) const {
 }
 
 namespace {
-// Cash–Karp tableau — identical to the scalar integrator (ode.cpp); the
-// batch_vs_scalar differential property depends on the two staying in sync.
+// Cash–Karp tableau — the same as the scalar integrator's (ode.cpp).
 constexpr double a2 = 1.0 / 5.0;
 constexpr double a3 = 3.0 / 10.0;
 constexpr double a4 = 3.0 / 5.0;
@@ -49,9 +48,9 @@ batch_rk45_integrator::batch_rk45_integrator(std::size_t vars,
       lanes_(lanes),
       opt_(options),
       dt_hint_(lanes, 0.0),
-      dt_try_(lanes, 0.0),
+      dt_try_(vars * lanes, 0.0),
       stage_t_(lanes, 0.0),
-      err_(lanes, 0.0),
+      err_(vars * lanes, 0.0),
       attempt_(lanes, 0),
       failed_(lanes, 0),
       segment_attempts_(lanes, 0),
@@ -99,100 +98,61 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         dt_try_[l] = dt;
     }
     if (attempted == 0) return 0;
+    // Every variable row carries its lane's dt, so each stage combination
+    // below is ONE flat loop over all vars * lanes values — per-sweep loop
+    // overhead independent of the state size, which dominates at narrow
+    // widths.
+    const std::size_t n = vars_ * B;
+    double* h = dt_try_.data();
+    for (std::size_t i = B; i < n; ++i) h[i] = h[i - B];
 
     const auto stage = [&](const batch_state& from, double frac,
                            batch_state& k) {
         for (std::size_t l = 0; l < B; ++l)
-            stage_t_[l] = t[l] + frac * dt_try_[l];
-        sys.derivatives(stage_t_, from, k, attempt_);
+            stage_t_[l] = t[l] + frac * h[l];
+        sys.derivatives(stage_t_, from, k);
     };
 
-    // Six Cash–Karp stages, each a flat var-major loop over lanes.
+    // Six Cash–Karp stages.
+    const double* x0 = x.data();
+    const double* k1 = k1_.data();
+    const double* k2 = k2_.data();
+    const double* k3 = k3_.data();
+    const double* k4 = k4_.data();
+    const double* k5 = k5_.data();
+    const double* k6 = k6_.data();
+    double* tmp = xtmp_.data();
     stage(x, 0.0, k1_);
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
-        for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b21 * k1v[l]);
-    }
+    for (std::size_t i = 0; i < n; ++i) tmp[i] = x0[i] + h[i] * (b21 * k1[i]);
     stage(xtmp_, a2, k2_);
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        const double* k2v = k2_.var(v);
-        double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
-        for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b31 * k1v[l] + b32 * k2v[l]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        tmp[i] = x0[i] + h[i] * (b31 * k1[i] + b32 * k2[i]);
     stage(xtmp_, a3, k3_);
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        const double* k2v = k2_.var(v);
-        const double* k3v = k3_.var(v);
-        double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
-        for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] +
-                    dt[l] * (b41 * k1v[l] + b42 * k2v[l] + b43 * k3v[l]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        tmp[i] = x0[i] + h[i] * (b41 * k1[i] + b42 * k2[i] + b43 * k3[i]);
     stage(xtmp_, a4, k4_);
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        const double* k2v = k2_.var(v);
-        const double* k3v = k3_.var(v);
-        const double* k4v = k4_.var(v);
-        double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
-        for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b51 * k1v[l] + b52 * k2v[l] +
-                                     b53 * k3v[l] + b54 * k4v[l]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        tmp[i] = x0[i] + h[i] * (b51 * k1[i] + b52 * k2[i] + b53 * k3[i] +
+                                  b54 * k4[i]);
     stage(xtmp_, a5, k5_);
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        const double* k2v = k2_.var(v);
-        const double* k3v = k3_.var(v);
-        const double* k4v = k4_.var(v);
-        const double* k5v = k5_.var(v);
-        double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
-        for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b61 * k1v[l] + b62 * k2v[l] +
-                                     b63 * k3v[l] + b64 * k4v[l] +
-                                     b65 * k5v[l]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        tmp[i] = x0[i] + h[i] * (b61 * k1[i] + b62 * k2[i] + b63 * k3[i] +
+                                  b64 * k4[i] + b65 * k5[i]);
     stage(xtmp_, a6, k6_);
 
-    // Embedded 4th/5th-order error estimate, per lane (max over variables).
-    for (std::size_t l = 0; l < B; ++l) err_[l] = 0.0;
-    for (std::size_t v = 0; v < vars_; ++v) {
-        const double* xv = x.var(v);
-        const double* k1v = k1_.var(v);
-        const double* k3v = k3_.var(v);
-        const double* k4v = k4_.var(v);
-        const double* k5v = k5_.var(v);
-        const double* k6v = k6_.var(v);
-        double* x5v = x5_.var(v);
-        const double* dt = dt_try_.data();
-        double* err = err_.data();
-        for (std::size_t l = 0; l < B; ++l) {
-            const double x5 = xv[l] + dt[l] * (c1 * k1v[l] + c3 * k3v[l] +
-                                               c4 * k4v[l] + c6 * k6v[l]);
-            const double x4 =
-                xv[l] + dt[l] * (d1 * k1v[l] + d3 * k3v[l] + d4 * k4v[l] +
-                                 d5 * k5v[l] + d6 * k6v[l]);
-            x5v[l] = x5;
-            const double sc =
-                opt_.abs_tol +
-                opt_.rel_tol * std::max(std::abs(xv[l]), std::abs(x5));
-            err[l] = std::max(err[l], std::abs(x5 - x4) / sc);
-        }
+    // Embedded 4th/5th-order error estimate per value, then per lane the
+    // max over variables (in variable order).
+    double* x5v = x5_.data();
+    double* err = err_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        const double x5 = x0[i] + h[i] * (c1 * k1[i] + c3 * k3[i] +
+                                           c4 * k4[i] + c6 * k6[i]);
+        const double x4 = x0[i] + h[i] * (d1 * k1[i] + d3 * k3[i] +
+                                           d4 * k4[i] + d5 * k5[i] + d6 * k6[i]);
+        x5v[i] = x5;
+        const double sc =
+            opt_.abs_tol + opt_.rel_tol * std::max(std::abs(x0[i]), std::abs(x5));
+        err[i] = std::abs(x5 - x4) / sc;
     }
 
     // Per-lane accept/reject — scalar bookkeeping (pow is off the
@@ -206,7 +166,9 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         }
         ++segment_attempts_[l];
         const double dt = dt_try_[l];
-        const double err_ratio = err_[l];
+        double err_ratio = 0.0;
+        for (std::size_t v = 0; v < vars_; ++v)
+            err_ratio = std::max(err_ratio, err_[v * B + l]);
         if (err_ratio <= 1.0) {
             t[l] += dt;
             for (std::size_t v = 0; v < vars_; ++v)

@@ -11,9 +11,10 @@
 // batch, and an idle lane (sitting at its event horizon) is simply
 // excluded from the sweep.
 //
-// The tableau and step-control formulas are copied verbatim from the
-// scalar `rk45_integrator` (ode.cpp) — the differential testkit property
-// `batch_vs_scalar_equivalence` holds the two implementations together.
+// The tableau and step-control formulas are those of the scalar
+// `rk45_integrator` (ode.cpp), which now serves transient fidelity only:
+// every envelope-fidelity run, a single evaluate() included, goes through
+// this integrator.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +25,8 @@
 #include "sim/ode.hpp"
 
 namespace ehdse::sim {
+
+class batch_simulator;
 
 /// Structure-of-arrays state for B lanes of one analogue equation set.
 /// Values of a given variable are contiguous across lanes (`var(v)[lane]`)
@@ -36,6 +39,11 @@ public:
 
     std::size_t vars() const noexcept { return vars_; }
     std::size_t lanes() const noexcept { return lanes_; }
+
+    /// All vars * lanes values, variable rows back to back (row v starts
+    /// at data() + v * lanes()).
+    double* data() noexcept { return data_.data(); }
+    const double* data() const noexcept { return data_.data(); }
 
     /// Pointer to the lane-contiguous row of variable v.
     double* var(std::size_t v) noexcept { return data_.data() + v * lanes_; }
@@ -76,12 +84,17 @@ public:
     /// Number of lanes B.
     virtual std::size_t lanes() const = 0;
 
-    /// Evaluate dx/dt for every lane, at per-lane times t[lane]. Lanes with
-    /// active[lane] == 0 may be computed anyway (branch-free full-width
-    /// kernels are encouraged); the integrator ignores their results.
+    /// Bind the simulator hosting this system (per-lane plant handles
+    /// and scheduled disturbances go through it). batch_simulator's
+    /// constructor calls it once; the default binds nothing.
+    virtual void attach(batch_simulator& /*bsim*/) {}
+
+    /// Evaluate dx/dt for every lane, at per-lane times t[lane]. Every
+    /// lane is computed, the ones the integrator is not stepping this
+    /// sweep included (branch-free full-width kernels); it ignores their
+    /// results.
     virtual void derivatives(std::span<const double> t, const batch_state& x,
-                             batch_state& dxdt,
-                             std::span<const std::uint8_t> active) const = 0;
+                             batch_state& dxdt) const = 0;
 };
 
 /// Per-lane outcome of one step sweep.
@@ -139,9 +152,9 @@ private:
     ode_options opt_;
 
     std::vector<double> dt_hint_;    ///< carried across segments; 0 = unset
-    std::vector<double> dt_try_;     ///< this sweep's per-lane trial step
+    std::vector<double> dt_try_;     ///< this sweep's trial step, per value
     std::vector<double> stage_t_;    ///< per-lane stage times
-    std::vector<double> err_;        ///< per-lane max error ratio
+    std::vector<double> err_;        ///< this sweep's error ratio, per value
     std::vector<std::uint8_t> attempt_;  ///< per-lane "in this sweep" mask
     std::vector<std::uint8_t> failed_;   ///< per-lane sticky failure flag
     std::vector<std::size_t> segment_attempts_;

@@ -20,9 +20,7 @@ batch_simulator::batch_simulator(batch_analog_system& sys,
       target_(sys.lanes(), 0.0),
       outcome_(sys.lanes(), lane_step::idle),
       ok_(sys.lanes(), 1),
-      done_(sys.lanes(), 0),
-      watch_min_(sys.lanes(), 0.0),
-      watch_max_(sys.lanes(), 0.0) {
+      done_(sys.lanes(), 0) {
     if (initial_state.size() != sys.state_size())
         throw std::invalid_argument(
             "batch_simulator: initial state size mismatch");
@@ -37,6 +35,7 @@ batch_simulator::batch_simulator(batch_analog_system& sys,
         events_counter_ = &reg->get_counter("sim.batch.events");
         sweeps_counter_ = &reg->get_counter("sim.batch.sweeps");
     }
+    sys_.attach(*this);
 }
 
 event_id batch_simulator::lane_context::at(double t,
@@ -55,19 +54,8 @@ event_id batch_simulator::lane_context::after(double delay,
                                            std::move(action));
 }
 
-void batch_simulator::watch_range(std::size_t var) {
-    if (var >= state_.vars())
-        throw std::invalid_argument("batch_simulator::watch_range: bad var");
-    watching_ = true;
-    watch_var_ = var;
-    for (std::size_t l = 0; l < lanes_; ++l)
-        watch_min_[l] = watch_max_[l] = state_.at(var, l);
-}
-
-void batch_simulator::update_watch(std::size_t l) {
-    const double v = state_.at(watch_var_, l);
-    watch_min_[l] = std::min(watch_min_[l], v);
-    watch_max_[l] = std::max(watch_max_[l], v);
+void batch_simulator::add_step_observer(step_observer obs) {
+    observers_.push_back(std::move(obs));
 }
 
 bool batch_simulator::lane_state_finite(std::size_t l) const {
@@ -90,7 +78,7 @@ void batch_simulator::service_lane(std::size_t l, double t_end) {
             ok_[l] = 0;
             return;
         }
-        if (watching_) update_watch(l);
+        notify(l);
     }
     // Next integration target: the earliest pending event within the
     // horizon, else the horizon itself.
@@ -136,7 +124,7 @@ bool batch_simulator::run_until(double t_end) {
         for (std::size_t l = 0; l < lanes_; ++l) {
             switch (outcome_[l]) {
                 case lane_step::advanced:
-                    if (watching_) update_watch(l);
+                    notify(l);
                     break;
                 case lane_step::failed:
                     ok_[l] = 0;

@@ -16,7 +16,9 @@
 //
 // Lanes are fully independent: a lane's trajectory, step sizes and event
 // schedule do not depend on which other lanes share the batch (the
-// differential property checks batch(B) == batch(1) == scalar for all B).
+// differential property checks batch(B) == batch(1) bitwise for all B).
+// This is the only envelope-fidelity loop: dse::system_evaluator runs a
+// single evaluate() as a batch of one.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +58,12 @@ public:
         state_.set(var, l, value);
     }
 
-    /// Track the running min/max of one state variable per lane, sampled
-    /// after every accepted step and every event batch — the batch
-    /// equivalent of a scalar step observer watching e.g. the supercap
-    /// voltage. Seeded from the current state.
-    void watch_range(std::size_t var);
-    double watched_min(std::size_t l) const { return watch_min_.at(l); }
-    double watched_max(std::size_t l) const { return watch_max_.at(l); }
+    /// Called for lane l after each of its accepted steps and after each
+    /// of its event batches, with the lane's time — the batch form of the
+    /// scalar simulator's step observer. Read the lane's state through
+    /// state_at(l, ...). Serves min/max tracking and waveform traces.
+    using step_observer = std::function<void(std::size_t lane, double t)>;
+    void add_step_observer(step_observer obs);
 
     /// Advance every lane to t_end, firing due events per lane. Returns
     /// true when ALL lanes completed; per-lane success via lane_ok().
@@ -109,11 +110,13 @@ private:
         std::size_t lane_;
     };
 
-    /// Fire lane l's due events, verify finiteness, refresh the watch, and
-    /// recompute its integration target. Marks the lane done when it has
+    /// Fire lane l's due events, verify finiteness, notify the observers,
+    /// and recompute its integration target. Marks the lane done when it has
     /// reached t_end with no due events left.
     void service_lane(std::size_t l, double t_end);
-    void update_watch(std::size_t l);
+    void notify(std::size_t l) {
+        for (const step_observer& obs : observers_) obs(l, now_[l]);
+    }
     void flush_metrics();
 
     batch_analog_system& sys_;
@@ -127,10 +130,7 @@ private:
     std::vector<lane_step> outcome_;
     std::vector<std::uint8_t> ok_;
     std::vector<std::uint8_t> done_;
-    bool watching_ = false;
-    std::size_t watch_var_ = 0;
-    std::vector<double> watch_min_;
-    std::vector<double> watch_max_;
+    std::vector<step_observer> observers_;
     // Process-wide metrics (sim.batch.*), resolved once at construction and
     // flushed per run — never touched inside the sweep loop.
     obs::counter* steps_counter_ = nullptr;

@@ -8,15 +8,21 @@
 //
 //   * faulty_evaluator  — overrides system_evaluator::evaluate to throw a
 //     typed evaluator_fault before the run starts (exercises the flow's
-//     error path), and overrides build_system() to wrap the analogue
-//     model with...
-//   * faulty_node_system — a node_system decorator injecting harvester
-//     dropout windows (harvest derivative clamped to zero) and supercap
-//     leakage steps (instantaneous voltage drops, optionally a NaN that
-//     the simulator's non-finite halt must catch) at PRNG-chosen times;
+//     error path), and overrides decorate_kernel() to wrap the envelope
+//     batch kernel's analogue model with...
+//   * faulty_batch_system — a lane-wise batch_analog_system decorator
+//     injecting harvester dropout windows (harvest derivative clamped to
+//     zero) and supercap leakage steps (instantaneous voltage drops,
+//     optionally a NaN that the simulator's non-finite halt must catch)
+//     at PRNG-chosen times, per lane from that lane's request;
 //   * faulty_objective  — an opt::objective_fn wrapper returning NaN at
 //     PRNG-chosen call indices (first call always clean so optimisers
 //     keep a finite incumbent).
+//
+// Fault-injected flows run the production kernel: evaluate_batch is not
+// overridden. Analogue faults exist at envelope fidelity only; a plan
+// with dropouts or leaks for a transient request is rejected
+// (std::invalid_argument) rather than silently dropped.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "dse/node_system.hpp"
+#include "dse/batch_envelope_system.hpp"
 #include "dse/system_evaluator.hpp"
 #include "opt/optimizer.hpp"
 #include "spec/spec_hash.hpp"
@@ -115,95 +121,72 @@ public:
         : std::runtime_error(what_arg) {}
 };
 
-/// node_system decorator applying a fault_plan to any analogue model:
-/// inside a dropout window the harvested-energy derivative is clamped to
-/// zero and the storage voltage may only fall; each leak step is a
-/// scheduled event that drops (or NaN-corrupts) the storage voltage.
-class faulty_node_system final : public dse::node_system {
+/// batch_analog_system decorator applying one fault_plan per lane to the
+/// envelope kernel: inside a lane's dropout window its harvested-energy
+/// derivative is clamped to zero and its storage voltage may only fall;
+/// each leak step is an event on that lane that drops (or NaN-corrupts)
+/// the storage voltage.
+class faulty_batch_system final : public sim::batch_analog_system {
 public:
-    faulty_node_system(std::unique_ptr<dse::node_system> inner,
-                       fault_plan plan)
-        : inner_(std::move(inner)), plan_(std::move(plan)) {}
+    using ix = dse::batch_envelope_system::state_index;
 
-    // -- analog_system ----------------------------------------------------
-    std::size_t state_size() const override { return inner_->state_size(); }
+    /// plans[l] applies to lane l of `inner`, which must outlive this.
+    faulty_batch_system(dse::batch_envelope_system& inner,
+                        std::vector<fault_plan> plans)
+        : inner_(inner), plans_(std::move(plans)) {
+        if (plans_.size() != inner_.lanes())
+            throw std::invalid_argument(
+                "testkit::faulty_batch_system: one plan per lane");
+    }
 
-    void derivatives(double t, std::span<const double> x,
-                     std::span<double> dxdt) const override {
-        inner_->derivatives(t, x, dxdt);
-        if (in_dropout(t)) {
-            const state_map ix = inner_->states();
-            dxdt[ix.harvested] = 0.0;
-            dxdt[ix.voltage] = std::min(dxdt[ix.voltage], 0.0);
+    std::size_t state_size() const override { return inner_.state_size(); }
+    std::size_t lanes() const override { return inner_.lanes(); }
+
+    void attach(sim::batch_simulator& bsim) override {
+        inner_.attach(bsim);
+        for (std::size_t l = 0; l < plans_.size(); ++l) {
+            sim::sim_context& lane = bsim.lane(l);
+            for (const leak_step& leak : plans_[l].leaks) {
+                lane.at(leak.at_s, [&lane, leak] {
+                    lane.set_state(ix::ix_voltage,
+                                   leak.inject_nan
+                                       ? std::numeric_limits<double>::quiet_NaN()
+                                       : std::max(0.0, lane.state_at(ix::ix_voltage) -
+                                                           leak.drop_v));
+                });
+            }
         }
     }
 
-    // -- node_system ------------------------------------------------------
-    void attach(sim::sim_context& sim) override {
-        inner_->attach(sim);
-        const state_map ix = inner_->states();
-        for (const leak_step& leak : plan_.leaks) {
-            sim.at(leak.at_s, [&sim, ix, leak] {
-                if (leak.inject_nan) {
-                    sim.set_state(ix.voltage,
-                                  std::numeric_limits<double>::quiet_NaN());
-                } else {
-                    sim.set_state(ix.voltage,
-                                  std::max(0.0, sim.state_at(ix.voltage) -
-                                                    leak.drop_v));
-                }
-            });
+    void derivatives(std::span<const double> t, const sim::batch_state& x,
+                     sim::batch_state& dxdt) const override {
+        inner_.derivatives(t, x, dxdt);
+        double* dv = dxdt.var(ix::ix_voltage);
+        double* dh = dxdt.var(ix::ix_harvested);
+        for (std::size_t l = 0; l < plans_.size(); ++l) {
+            if (!in_dropout(plans_[l], t[l])) continue;
+            dh[l] = 0.0;
+            dv[l] = std::min(dv[l], 0.0);
         }
     }
-
-    std::vector<double> initial_state(double v0, int initial_position) override {
-        return inner_->initial_state(v0, initial_position);
-    }
-
-    sim::ode_options suggested_ode_options() const override {
-        return inner_->suggested_ode_options();
-    }
-
-    state_map states() const override { return inner_->states(); }
-
-    const power::energy_ledger& ledger() const override {
-        return inner_->ledger();
-    }
-
-    // -- harvester::plant -------------------------------------------------
-    double storage_voltage() const override { return inner_->storage_voltage(); }
-    void withdraw(double joules, const std::string& account) override {
-        inner_->withdraw(joules, account);
-    }
-    void set_sustained_draw(const std::string& account, double amps) override {
-        inner_->set_sustained_draw(account, amps);
-    }
-    int position() const override { return inner_->position(); }
-    void set_position(int position) override { inner_->set_position(position); }
-    double vibration_frequency() const override {
-        return inner_->vibration_frequency();
-    }
-    double phase_lag() const override { return inner_->phase_lag(); }
-
-    const fault_plan& plan() const noexcept { return plan_; }
 
 private:
-    bool in_dropout(double t) const noexcept {
-        for (const dropout_window& w : plan_.dropouts)
+    static bool in_dropout(const fault_plan& plan, double t) noexcept {
+        for (const dropout_window& w : plan.dropouts)
             if (t >= w.start_s && t < w.end_s) return true;
         return false;
     }
 
-    std::unique_ptr<dse::node_system> inner_;
-    fault_plan plan_;
+    dse::batch_envelope_system& inner_;
+    std::vector<fault_plan> plans_;
 };
 
 /// system_evaluator that injects the faults of a per-request fault_plan.
 /// Drop-in anywhere a `const system_evaluator&` is taken (cached_evaluator,
 /// run_rsm_flow): exception faults throw evaluator_fault before any
-/// simulation starts; analogue faults wrap the node_system built by the
-/// base class with faulty_node_system. Thread-safe and call-order
-/// independent like the base class — the plan depends only on the request.
+/// simulation starts; analogue faults wrap the envelope kernel with
+/// faulty_batch_system. Thread-safe and call-order independent like the
+/// base class — the plan depends only on the request.
 class faulty_evaluator : public dse::system_evaluator {
 public:
     faulty_evaluator(dse::scenario scn, fault_options faults,
@@ -227,46 +210,52 @@ public:
                                 scene().duration_s);
     }
 
+    /// Throws evaluator_fault for a throw_before_run plan (either
+    /// fidelity), std::invalid_argument for analogue faults on a
+    /// transient request; otherwise runs the base evaluation, whose
+    /// envelope kernel picks the analogue faults up in decorate_kernel().
     dse::evaluation_result evaluate(
         const dse::system_config& config,
         const dse::evaluation_options& options = {}) const override {
-        if (plan_for(config, options).throw_before_run) {
+        const fault_plan plan = checked_plan(config, options);
+        if (options.model == dse::fidelity::transient &&
+            !(plan.dropouts.empty() && plan.leaks.empty()))
+            throw std::invalid_argument(
+                "testkit::faulty_evaluator: dropouts and leaks are "
+                "envelope-only; transient request " +
+                spec::spec_hash_hex(
+                    spec::evaluation_request_hash(config, options)));
+        return system_evaluator::evaluate(config, options);
+    }
+
+protected:
+    std::unique_ptr<sim::batch_analog_system> decorate_kernel(
+        dse::batch_envelope_system& system,
+        std::span<const dse::system_config> chunk,
+        const dse::evaluation_options& options) const override {
+        std::vector<fault_plan> plans;
+        bool any = false;
+        for (const dse::system_config& config : chunk) {
+            plans.push_back(checked_plan(config, options));
+            any = any || !plans.back().empty();
+        }
+        if (!any) return nullptr;
+        return std::make_unique<faulty_batch_system>(system, std::move(plans));
+    }
+
+private:
+    fault_plan checked_plan(const dse::system_config& config,
+                            const dse::evaluation_options& options) const {
+        fault_plan plan = plan_for(config, options);
+        if (plan.throw_before_run) {
             throw evaluator_fault(
                 "testkit::faulty_evaluator: injected fault for request " +
                 spec::spec_hash_hex(
                     spec::evaluation_request_hash(config, options)));
         }
-        return system_evaluator::evaluate(config, options);
+        return plan;
     }
 
-    /// Batched requests take the scalar path one by one: the batch kernel
-    /// bypasses build_system(), so running it here would silently drop the
-    /// fault decoration. Per-request plans (and throw_before_run) behave
-    /// exactly as under evaluate().
-    std::vector<dse::evaluation_result> evaluate_batch(
-        std::span<const dse::system_config> configs,
-        const dse::evaluation_options& options = {}) const override {
-        std::vector<dse::evaluation_result> out;
-        out.reserve(configs.size());
-        for (const dse::system_config& config : configs)
-            out.push_back(evaluate(config, options));
-        return out;
-    }
-
-protected:
-    std::unique_ptr<dse::node_system> build_system(
-        const dse::system_config& config,
-        const dse::evaluation_options& options,
-        const harvester::vibration_source& vib) const override {
-        std::unique_ptr<dse::node_system> inner =
-            system_evaluator::build_system(config, options, vib);
-        fault_plan plan = plan_for(config, options);
-        if (plan.empty()) return inner;
-        return std::make_unique<faulty_node_system>(std::move(inner),
-                                                    std::move(plan));
-    }
-
-private:
     fault_options faults_;
     std::optional<fault_plan> fixed_;
 };

@@ -1,14 +1,15 @@
 // Batch evaluation path: system_evaluator::evaluate_batch (positional
-// results, lane independence, scalar fallbacks), the memoising
+// results, lane independence, bit-equality with evaluate(), the
+// transient fallback), the memoising
 // cached_evaluator::evaluate_batch (hit/miss accounting, duplicates,
 // exception recovery), and run_rsm_flow equivalence with batching on
 // vs off.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "doe/d_optimal.hpp"
@@ -44,70 +45,52 @@ std::vector<ed::system_config> spread_configs(std::size_t n) {
     return configs;
 }
 
-/// Exact equality of the deterministic fields (wall_time_s excluded).
+/// Exact equality of the deterministic fields (wall_time_s excluded),
+/// traces included.
 void expect_results_equal(const ed::evaluation_result& a,
                           const ed::evaluation_result& b,
                           const std::string& what) {
     EXPECT_EQ(a.transmissions, b.transmissions) << what;
     EXPECT_EQ(a.suppressed_wakeups, b.suppressed_wakeups) << what;
+    EXPECT_EQ(a.low_band_transmissions, b.low_band_transmissions) << what;
     EXPECT_EQ(a.events, b.events) << what;
     EXPECT_EQ(a.ode_steps, b.ode_steps) << what;
+    EXPECT_EQ(a.ode_steps_rejected, b.ode_steps_rejected) << what;
     EXPECT_EQ(a.final_voltage_v, b.final_voltage_v) << what;
     EXPECT_EQ(a.min_voltage_v, b.min_voltage_v) << what;
     EXPECT_EQ(a.max_voltage_v, b.max_voltage_v) << what;
     EXPECT_EQ(a.harvested_energy_j, b.harvested_energy_j) << what;
+    EXPECT_EQ(a.sustained_load_energy_j, b.sustained_load_energy_j) << what;
+    EXPECT_EQ(a.withdrawn_energy_j, b.withdrawn_energy_j) << what;
     EXPECT_EQ(a.sim_ok, b.sim_ok) << what;
-}
-
-/// Cross-kernel equality: integer objectives exact, continuous fields to
-/// a tolerance covering integrator rounding (the scalar and batch RK45
-/// loops share the physics but not their step-size arithmetic).
-void expect_results_close(const ed::evaluation_result& a,
-                          const ed::evaluation_result& b,
-                          const std::string& what) {
-    const auto near = [&](double x, double y, const char* field) {
-        EXPECT_NEAR(x, y, 1e-12 + 1e-6 * std::abs(y)) << what << ": " << field;
-    };
-    EXPECT_EQ(a.transmissions, b.transmissions) << what;
-    EXPECT_EQ(a.suppressed_wakeups, b.suppressed_wakeups) << what;
-    EXPECT_EQ(a.sim_ok, b.sim_ok) << what;
-    near(a.final_voltage_v, b.final_voltage_v, "final_voltage_v");
-    near(a.min_voltage_v, b.min_voltage_v, "min_voltage_v");
-    near(a.max_voltage_v, b.max_voltage_v, "max_voltage_v");
-    near(a.harvested_energy_j, b.harvested_energy_j, "harvested_energy_j");
+    for (const auto& [x, y] : {std::pair{&a.voltage_trace, &b.voltage_trace},
+                               std::pair{&a.position_trace, &b.position_trace}}) {
+        ASSERT_EQ(x->has_value(), y->has_value()) << what;
+        if (!x->has_value()) continue;
+        EXPECT_EQ((*x)->times(), (*y)->times()) << what << ": " << (*x)->name();
+        EXPECT_EQ((*x)->values(), (*y)->values()) << what << ": " << (*x)->name();
+    }
 }
 
 }  // namespace
 
 TEST(EvaluateBatch, MatchesScalarWithinKernelTolerance) {
+    // evaluate() is the batch kernel at width 1, so every lane of a wider
+    // batch equals it bit for bit — no tolerance left to allow.
     const ed::system_evaluator evaluator(fast_scenario());
     const auto configs = spread_configs(5);
 
     const auto batch = evaluator.evaluate_batch(configs);
     ASSERT_EQ(batch.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto scalar = evaluator.evaluate(configs[i]);
-        // Both kernels run the same envelope hook; only integrator
-        // rounding separates them (WidthOneMatchesScalarForEveryBackend
-        // pins how closely).
-        EXPECT_NEAR(static_cast<double>(batch[i].transmissions),
-                    static_cast<double>(scalar.transmissions), 2.0)
-            << "lane " << i;
-        EXPECT_NEAR(batch[i].final_voltage_v, scalar.final_voltage_v,
-                    1e-6 + 1e-3 * std::abs(scalar.final_voltage_v))
-            << "lane " << i;
-        EXPECT_NEAR(batch[i].harvested_energy_j, scalar.harvested_energy_j,
-                    1e-6 + 1e-3 * std::abs(scalar.harvested_energy_j))
-            << "lane " << i;
-        EXPECT_EQ(batch[i].sim_ok, scalar.sim_ok) << "lane " << i;
-    }
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        expect_results_equal(batch[i], evaluator.evaluate(configs[i]),
+                             "lane " + std::to_string(i));
 }
 
 TEST(EvaluateBatch, WidthOneMatchesScalarForEveryBackend) {
     // The perf-gate workload: the paper's 10-point D-optimal set on a
-    // 10-minute scenario. Scalar evaluate() and a batch of one call the
-    // same lane-span envelope hook, so every event count is identical and
-    // the store voltage differs by integrator rounding alone.
+    // 10-minute scenario. evaluate() and a batch of one run the same
+    // loop, so they agree bit for bit on every backend.
     ed::scenario s;
     s.duration_s = 600.0;
     s.step_period_s = 250.0;
@@ -128,18 +111,11 @@ TEST(EvaluateBatch, WidthOneMatchesScalarForEveryBackend) {
     for (const auto& info : ehdse::harvester::harvester_registry()) {
         const ed::system_evaluator evaluator(
             s, ehdse::spec::harvester_spec{info.name});
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const std::string what = info.name + " point " + std::to_string(i);
-            const auto scalar = evaluator.evaluate(configs[i]);
-            const auto one = evaluator.evaluate_batch({&configs[i], 1}).front();
-            EXPECT_EQ(scalar.transmissions, one.transmissions) << what;
-            EXPECT_EQ(scalar.events, one.events) << what;
-            EXPECT_EQ(scalar.suppressed_wakeups, one.suppressed_wakeups) << what;
-            EXPECT_EQ(scalar.low_band_transmissions, one.low_band_transmissions)
-                << what;
-            EXPECT_NEAR(scalar.final_voltage_v, one.final_voltage_v, 1e-9)
-                << what;
-        }
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            expect_results_equal(
+                evaluator.evaluate(configs[i]),
+                evaluator.evaluate_batch({&configs[i], 1}).front(),
+                info.name + " point " + std::to_string(i));
     }
 }
 
@@ -177,6 +153,8 @@ TEST(EvaluateBatch, ChunksBeyondMaxLanes) {
 }
 
 TEST(EvaluateBatch, FallsBackToScalarForTraces) {
+    // Traced requests run the batch kernel too (its step observer records
+    // the traces); every lane, traces included, equals evaluate().
     const ed::system_evaluator evaluator(fast_scenario());
     ed::evaluation_options eval;
     eval.record_traces = true;
@@ -186,7 +164,7 @@ TEST(EvaluateBatch, FallsBackToScalarForTraces) {
     ASSERT_EQ(batch.size(), 2u);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         ASSERT_TRUE(batch[i].voltage_trace.has_value()) << "lane " << i;
-        // The fallback IS the scalar path, so equality is bitwise here.
+        EXPECT_FALSE(batch[i].voltage_trace->empty()) << "lane " << i;
         expect_results_equal(batch[i], evaluator.evaluate(configs[i], eval),
                              "traced lane " + std::to_string(i));
     }
@@ -311,12 +289,12 @@ TEST(FlowBatch, BatchingOnAndOffProduceTheSameFlow) {
     ASSERT_EQ(with.responses.size(), without.responses.size());
     for (std::size_t i = 0; i < with.responses.size(); ++i)
         EXPECT_EQ(with.responses[i], without.responses[i]) << "point " << i;
-    expect_results_close(with.original_eval, without.original_eval,
+    expect_results_equal(with.original_eval, without.original_eval,
                          "baseline");
     ASSERT_EQ(with.outcomes.size(), without.outcomes.size());
     for (std::size_t i = 0; i < with.outcomes.size(); ++i) {
         EXPECT_EQ(with.outcomes[i].name, without.outcomes[i].name);
-        expect_results_close(with.outcomes[i].validated,
+        expect_results_equal(with.outcomes[i].validated,
                              without.outcomes[i].validated,
                              "outcome " + with.outcomes[i].name);
     }

@@ -1,15 +1,19 @@
-// Direct unit tests of the two plant implementations (envelope and
-// transient systems): withdrawal accounting, sustained draws, position
-// validation, measurement taps.
+// Direct unit tests of the two plant implementations (the envelope
+// model's per-lane plants, driven here at width 1, and the transient
+// system): withdrawal accounting, sustained draws, position validation,
+// measurement taps.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
-#include "dse/envelope_system.hpp"
+#include "dse/batch_envelope_system.hpp"
 #include "dse/transient_system.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "harvester/tuning_table.hpp"
+#include "power/supercapacitor.hpp"
+#include "sim/simulator.hpp"
 
 namespace ed = ehdse::dse;
 namespace eh = ehdse::harvester;
@@ -17,19 +21,23 @@ namespace es = ehdse::sim;
 
 namespace {
 
+std::shared_ptr<const ehdse::power::storage_model> paper_supercap() {
+    return std::make_shared<ehdse::power::supercapacitor>();
+}
+
+/// One envelope lane on its own batch simulator.
 struct env_rig {
     eh::electromagnetic_harvester em;
     eh::vibration_source vib{0.060 * eh::k_gravity, 69.0};
-    ed::envelope_system system{em, vib};
-    es::simulator sim;
+    ed::batch_envelope_system system{em, vib, paper_supercap(), {}, 1};
+    es::batch_simulator bsim;
+    eh::plant& plant = system.plant(0);
 
     env_rig()
-        : sim(system, [this] {
+        : bsim(system, [this] {
               eh::tuning_table table(em);
               return system.initial_state(2.8, table.lookup(69.0));
-          }()) {
-        system.attach(sim);
-    }
+          }()) {}
 };
 
 }  // namespace
@@ -37,58 +45,58 @@ struct env_rig {
 TEST(EnvelopePlant, UnattachedThrows) {
     eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(em, vib);
-    EXPECT_THROW(system.storage_voltage(), std::logic_error);
-    EXPECT_THROW(system.vibration_frequency(), std::logic_error);
+    ed::batch_envelope_system system(em, vib, paper_supercap(), {}, 1);
+    EXPECT_THROW(system.plant(0).storage_voltage(), std::logic_error);
+    EXPECT_THROW(system.plant(0).vibration_frequency(), std::logic_error);
 }
 
 TEST(EnvelopePlant, WithdrawalRemovesEnergyAndLedgers) {
     env_rig rig;
-    const double v0 = rig.system.storage_voltage();
-    rig.system.withdraw(10e-3, "test.account");
-    const double v1 = rig.system.storage_voltage();
+    const double v0 = rig.plant.storage_voltage();
+    rig.plant.withdraw(10e-3, "test.account");
+    const double v1 = rig.plant.storage_voltage();
     EXPECT_LT(v1, v0);
     ehdse::power::supercapacitor cap;
     EXPECT_NEAR(cap.energy_at(v0) - cap.energy_at(v1), 10e-3, 1e-9);
-    EXPECT_DOUBLE_EQ(rig.system.ledger().total("test.account"), 10e-3);
-    EXPECT_THROW(rig.system.withdraw(-1.0, "x"), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(rig.system.ledger(0).total("test.account"), 10e-3);
+    EXPECT_THROW(rig.plant.withdraw(-1.0, "x"), std::invalid_argument);
 }
 
 TEST(EnvelopePlant, SustainedDrawDischargesOverTime) {
     env_rig rig;
     // Detune far so essentially nothing is harvested.
-    rig.system.set_position(255);
-    rig.system.set_sustained_draw("burn", 5e-3);  // 5 mA
-    ASSERT_TRUE(rig.sim.run_until(10.0));
+    rig.plant.set_position(255);
+    rig.plant.set_sustained_draw("burn", 5e-3);  // 5 mA
+    ASSERT_TRUE(rig.bsim.run_until(10.0));
     // dV ~ I t / C = 5e-3 * 10 / 0.55 ~ 0.09 V.
-    EXPECT_NEAR(rig.system.storage_voltage(), 2.8 - 0.0909, 0.01);
+    EXPECT_NEAR(rig.plant.storage_voltage(), 2.8 - 0.0909, 0.01);
     // Updating the same account replaces, not stacks.
-    rig.system.set_sustained_draw("burn", 0.0);
-    const double v_now = rig.system.storage_voltage();
-    ASSERT_TRUE(rig.sim.run_until(20.0));
-    EXPECT_NEAR(rig.system.storage_voltage(), v_now, 0.005);
+    rig.plant.set_sustained_draw("burn", 0.0);
+    const double v_now = rig.plant.storage_voltage();
+    ASSERT_TRUE(rig.bsim.run_until(20.0));
+    EXPECT_NEAR(rig.plant.storage_voltage(), v_now, 0.005);
 }
 
 TEST(EnvelopePlant, PositionAndMeasurementTaps) {
     env_rig rig;
-    EXPECT_DOUBLE_EQ(rig.system.vibration_frequency(), 69.0);
-    rig.system.set_position(100);
-    EXPECT_EQ(rig.system.position(), 100);
-    EXPECT_THROW(rig.system.set_position(-1), std::out_of_range);
-    EXPECT_THROW(rig.system.set_position(256), std::out_of_range);
+    EXPECT_DOUBLE_EQ(rig.plant.vibration_frequency(), 69.0);
+    rig.plant.set_position(100);
+    EXPECT_EQ(rig.plant.position(), 100);
+    EXPECT_THROW(rig.plant.set_position(-1), std::out_of_range);
+    EXPECT_THROW(rig.plant.set_position(256), std::out_of_range);
 
     // Tuned: phase lag ~ pi/2; resonance above drive: lag < pi/2.
     eh::tuning_table table(rig.em);
-    rig.system.set_position(table.lookup(69.0));
-    EXPECT_NEAR(rig.system.phase_lag(), std::numbers::pi / 2.0, 0.35);
-    rig.system.set_position(255);
-    EXPECT_LT(rig.system.phase_lag(), 0.3);
+    rig.plant.set_position(table.lookup(69.0));
+    EXPECT_NEAR(rig.plant.phase_lag(), std::numbers::pi / 2.0, 0.35);
+    rig.plant.set_position(255);
+    EXPECT_LT(rig.plant.phase_lag(), 0.3);
 }
 
 TEST(EnvelopePlant, InitialStateRejectsNegativeVoltage) {
     eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(em, vib);
+    ed::batch_envelope_system system(em, vib, paper_supercap(), {}, 1);
     EXPECT_THROW(system.initial_state(-1.0, 0), std::invalid_argument);
 }
 

@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
 
         // The metrics snapshot rides along with live counters.
         const auto& counters = doc.at("metrics").at("counters");
-        if (counters.at("sim.ode_steps").as_number() <= 0.0)
-            return fail("metrics snapshot missing sim.ode_steps");
+        if (counters.at("sim.batch.ode_steps").as_number() <= 0.0)
+            return fail("metrics snapshot missing sim.batch.ode_steps");
         if (counters.at("dse.evaluate.runs").as_number() <
             static_cast<double>(design_points))
             return fail("metrics snapshot undercounts evaluations");

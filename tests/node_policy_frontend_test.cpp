@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "dse/batch_envelope_system.hpp"
 #include "dse/system_evaluator.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "node/sensor_node.hpp"
+#include "power/supercapacitor.hpp"
 #include "sim/simulator.hpp"
 
 namespace ed = ehdse::dse;
@@ -103,7 +106,8 @@ TEST(ProportionalPolicy, SmoothsTheBandCliff) {
 TEST(Frontend, MpptValidation) {
     ehdse::harvester::electromagnetic_harvester em;
     ehdse::harvester::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(em, vib);
+    ed::batch_envelope_system system(
+        em, vib, std::make_shared<ehdse::power::supercapacitor>(), {}, 1);
     EXPECT_THROW(system.set_frontend(ed::frontend_kind::mppt, 0.0),
                  std::invalid_argument);
     EXPECT_THROW(system.set_frontend(ed::frontend_kind::mppt, 1.5),

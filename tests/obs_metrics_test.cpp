@@ -101,6 +101,21 @@ TEST(Histogram, QuantilesApproximateDistribution) {
     EXPECT_LE(h.quantile(0.1), h.quantile(0.9));
 }
 
+TEST(Histogram, QuantilesStayWithinObservedRange) {
+    // Ten identical observations share one power-of-two bucket whose
+    // midpoint (~1649) lies above them: every quantile is the value itself.
+    eo::histogram h;
+    for (int i = 0; i < 10; ++i) h.observe(1153.0);
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0})
+        EXPECT_DOUBLE_EQ(h.quantile(q), 1153.0) << "q = " << q;
+    // A spread inside one bucket stays inside [min, max] too.
+    eo::histogram g;
+    g.observe(1030.0);
+    g.observe(1100.0);
+    EXPECT_GE(g.quantile(0.5), g.min());
+    EXPECT_LE(g.quantile(0.99), g.max());
+}
+
 TEST(Histogram, ConcurrentObservationsKeepTotals) {
     eo::histogram h;
     constexpr int k_threads = 8;

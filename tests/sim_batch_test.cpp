@@ -4,6 +4,7 @@
 // form to check against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -28,8 +29,7 @@ public:
     std::size_t state_size() const override { return 1; }
     std::size_t lanes() const override { return k_.size(); }
     void derivatives(std::span<const double> /*t*/, const batch_state& x,
-                     batch_state& dxdt,
-                     std::span<const std::uint8_t> /*active*/) const override {
+                     batch_state& dxdt) const override {
         const double* xv = x.var(0);
         double* d = dxdt.var(0);
         for (std::size_t l = 0; l < k_.size(); ++l) d[l] = -k_[l] * xv[l];
@@ -156,17 +156,23 @@ TEST(BatchSimulator, EventsCanRescheduleAndPerturbTheirOwnLane) {
 TEST(BatchSimulator, WatchRangeTracksPerLaneExtremes) {
     decay_batch sys({1.0, 1.0});
     batch_simulator sim(sys, {1.0});
-    sim.watch_range(0);
+    // Per-lane running extremes through the step observer, seeded from
+    // the initial state (how the evaluator tracks the store voltage).
+    std::vector<double> lo(2, 1.0), hi(2, 1.0);
+    sim.add_step_observer([&](std::size_t l, double) {
+        lo[l] = std::min(lo[l], sim.state_at(l, 0));
+        hi[l] = std::max(hi[l], sim.state_at(l, 0));
+    });
 
-    // Lane 1 gets kicked above its initial value mid-run; the watch must
-    // see the kick (events refresh the watch too, not just ODE steps).
+    // Lane 1 gets kicked above its initial value mid-run; the observer
+    // must see the kick (event batches notify too, not just ODE steps).
     sim.lane(1).at(0.5, [&] { sim.lane(1).set_state(0, 2.0); });
 
     EXPECT_TRUE(sim.run_until(1.0));
-    EXPECT_NEAR(sim.watched_min(0), std::exp(-1.0), 1e-6);
-    EXPECT_DOUBLE_EQ(sim.watched_max(0), 1.0);
-    EXPECT_DOUBLE_EQ(sim.watched_max(1), 2.0);
-    EXPECT_NEAR(sim.watched_min(1), std::exp(-0.5), 1e-6);
+    EXPECT_NEAR(lo[0], std::exp(-1.0), 1e-6);
+    EXPECT_DOUBLE_EQ(hi[0], 1.0);
+    EXPECT_DOUBLE_EQ(hi[1], 2.0);
+    EXPECT_NEAR(lo[1], std::exp(-0.5), 1e-6);
 }
 
 TEST(BatchSimulator, NonFiniteLaneFailsAloneOthersFinish) {

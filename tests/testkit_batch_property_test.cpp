@@ -1,7 +1,7 @@
 // Differential property: the SoA batch kernel is an implementation
 // detail. For any valid spec, evaluating a config inside a batch equals
-// evaluating it alone (bitwise — lane independence), and both agree with
-// the scalar evaluate() path to solver tolerance. Batch width (1..16)
+// evaluating it alone (lane independence) and equals evaluate(), which
+// runs the same kernel at width 1 — all bitwise. Batch width (1..16)
 // and the extra lane configs derive from the spec hash, so a shrunk
 // counterexample pins the whole batch, not just one lane.
 #include <gtest/gtest.h>

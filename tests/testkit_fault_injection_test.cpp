@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "dse/cached_evaluator.hpp"
 #include "dse/rsm_flow.hpp"
@@ -202,4 +205,62 @@ TEST(TestkitFaultInjection, CachedEvaluatorPropagatesInjectedExceptions) {
     EXPECT_THROW((void)cached.evaluate(config), tk::evaluator_fault);
     EXPECT_THROW((void)cached.evaluate(config), tk::evaluator_fault);
     EXPECT_EQ(cached.stats().entries, 0u);
+}
+
+TEST(TestkitFaultInjection, BatchLanesCarryTheirOwnFaults) {
+    // evaluate_batch is not overridden: the faults ride on the production
+    // kernel, lane by lane, and each lane equals its evaluate().
+    ehdse::spec::scenario scn;
+    scn.duration_s = 120.0;
+    tk::fault_options faults;
+    faults.seed = 0x5eed;
+    faults.dropout_probability = 0.5;
+    faults.leak_probability = 0.5;
+    const tk::faulty_evaluator faulty(scn, faults);
+    std::vector<ehdse::spec::system_config> configs;
+    tk::prng r(11);
+    for (int i = 0; i < 6; ++i) configs.push_back(tk::gen_system_config(r));
+    const std::vector<dse::evaluation_result> batch =
+        faulty.evaluate_batch(configs);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        tk::oracles::require_results_bit_equal(
+            batch[i], faulty.evaluate(configs[i]),
+            "faulty lane " + std::to_string(i) + " vs evaluate()");
+
+    tk::fault_plan blackout;
+    blackout.dropouts.push_back({0.0, scn.duration_s});
+    const tk::faulty_evaluator dark(scn, blackout);
+    for (const dse::evaluation_result& lane : dark.evaluate_batch(configs))
+        EXPECT_LE(lane.harvested_energy_j, 1e-9);
+}
+
+TEST(TestkitFaultInjection, TransientAnalogueFaultsAreRejected) {
+    ehdse::spec::scenario scn;
+    scn.duration_s = 2.0;
+    scn.step_count = 0;
+    dse::evaluation_options transient;
+    transient.model = dse::fidelity::transient;
+    const ehdse::spec::system_config config;
+
+    tk::fault_plan dropout;
+    dropout.dropouts.push_back({0.5, 1.0});
+    const tk::faulty_evaluator with_dropout(scn, dropout);
+    EXPECT_THROW((void)with_dropout.evaluate(config, transient),
+                 std::invalid_argument);
+
+    tk::fault_plan leak;
+    leak.leaks.push_back({1.0, 0.2, false});
+    const tk::faulty_evaluator with_leak(scn, leak);
+    EXPECT_THROW((void)with_leak.evaluate(config, transient),
+                 std::invalid_argument);
+
+    // Exception faults still fire at transient fidelity, batched or not.
+    tk::fault_plan exception;
+    exception.throw_before_run = true;
+    const tk::faulty_evaluator throwing(scn, exception);
+    EXPECT_THROW((void)throwing.evaluate(config, transient),
+                 tk::evaluator_fault);
+    EXPECT_THROW((void)throwing.evaluate_batch({&config, 1}, transient),
+                 tk::evaluator_fault);
 }

@@ -6,10 +6,9 @@
 // tests/data/regressions/ — same oracle code, no PRNG.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -25,6 +24,7 @@
 #include "opt/simulated_annealing.hpp"
 #include "rsm/quadratic_model.hpp"
 #include "rsm/surrogate.hpp"
+#include "sim/trace.hpp"
 #include "spec/json_codec.hpp"
 #include "spec/spec_hash.hpp"
 #include "testkit/generators.hpp"
@@ -82,8 +82,16 @@ inline void require_results_bit_equal(const dse::evaluation_result& a,
        "sustained_load_energy_j");
     eq(a.withdrawn_energy_j == b.withdrawn_energy_j, "withdrawn_energy_j");
     eq(a.ode_steps == b.ode_steps, "ode_steps");
+    eq(a.ode_steps_rejected == b.ode_steps_rejected, "ode_steps_rejected");
     eq(a.events == b.events, "events");
     eq(a.sim_ok == b.sim_ok, "sim_ok");
+    const auto same_trace = [](const std::optional<sim::trace>& x,
+                               const std::optional<sim::trace>& y) {
+        if (x.has_value() != y.has_value()) return false;
+        return !x || (x->times() == y->times() && x->values() == y->values());
+    };
+    eq(same_trace(a.voltage_trace, b.voltage_trace), "voltage_trace");
+    eq(same_trace(a.position_trace, b.position_trace), "position_trace");
 }
 
 /// Cached and uncached evaluation of the same request are bit-equal, a
@@ -112,73 +120,22 @@ inline void check_cache_bit_equality(const spec::experiment_spec& s) {
     }
 }
 
-/// Equivalence of a batch-kernel result with its scalar counterpart. Both
-/// paths call the same lane-span envelope hook, but the scalar and batch
-/// RK45 loops round their step-size arithmetic differently, so
-/// continuous fields agree to a tolerance rather than bit for bit, and
-/// event-driven integer counters may shift by a count or two should a
-/// decision threshold fall within that rounding. ode_steps is not
-/// compared at all — step-size control legitimately differs at the last
-/// ulp.
-inline void require_results_equivalent(const dse::evaluation_result& a,
-                                       const dse::evaluation_result& b,
-                                       const std::string& what) {
-    const auto near_count = [&](std::uint64_t x, std::uint64_t y,
-                                const char* field) {
-        const std::uint64_t hi = std::max(x, y);
-        const std::uint64_t diff = hi - std::min(x, y);
-        const std::uint64_t slack =
-            std::max<std::uint64_t>(2, hi / 500);  // 2 counts or 0.2%
-        if (diff > slack) {
-            std::ostringstream os;
-            os << what << ": field '" << field << "' diverged: " << x
-               << " vs " << y;
-            fail(os.str());
-        }
-    };
-    const auto near_value = [&](double x, double y, const char* field) {
-        const double tol = 1e-6 + 1e-3 * std::max(std::abs(x), std::abs(y));
-        if (!(std::abs(x - y) <= tol)) {
-            std::ostringstream os;
-            os << what << ": field '" << field << "' diverged: " << x
-               << " vs " << y;
-            fail(os.str());
-        }
-    };
-    if (a.sim_ok != b.sim_ok) fail(what + ": sim_ok differs");
-    near_count(a.transmissions, b.transmissions, "transmissions");
-    near_count(a.suppressed_wakeups, b.suppressed_wakeups,
-               "suppressed_wakeups");
-    near_count(a.low_band_transmissions, b.low_band_transmissions,
-               "low_band_transmissions");
-    near_count(a.events, b.events, "events");
-    near_value(a.final_voltage_v, b.final_voltage_v, "final_voltage_v");
-    near_value(a.min_voltage_v, b.min_voltage_v, "min_voltage_v");
-    near_value(a.max_voltage_v, b.max_voltage_v, "max_voltage_v");
-    near_value(a.harvested_energy_j, b.harvested_energy_j,
-               "harvested_energy_j");
-    near_value(a.sustained_load_energy_j, b.sustained_load_energy_j,
-               "sustained_load_energy_j");
-    near_value(a.withdrawn_energy_j, b.withdrawn_energy_j,
-               "withdrawn_energy_j");
-}
-
 /// Differential property of the SoA batch kernel. The batch width and the
 /// extra lane configs derive deterministically from the spec (hash-seeded
-/// PRNG), so a pinned spec replays the identical case. Two invariants:
+/// PRNG), so a pinned spec replays the identical case. Two invariants,
+/// both bitwise on every deterministic field (ode_steps, min/max and the
+/// traces included):
 ///
-///  1. Lane independence, bitwise: evaluating a config in a batch of B
-///     equals evaluating it alone through the same kernel, field for
-///     field including ode_steps — masked lockstep means batch
-///     composition must not leak into any lane.
-///  2. Scalar equivalence, to tolerance: each lane agrees with the scalar
-///     evaluate() path per require_results_equivalent.
+///  1. Lane independence: evaluating a config in a batch of B equals
+///     evaluating it alone through the same kernel — masked lockstep
+///     means batch composition must not leak into any lane.
+///  2. One envelope loop: each lane equals evaluate() of its config,
+///     which runs the same kernel at width 1.
 inline void check_batch_vs_scalar(const spec::experiment_spec& s) {
-    // The kernel covers envelope fidelity without traces; other requests
-    // fall back to the scalar path and are exercised elsewhere.
+    // Transient requests fall back to per-config evaluate() and are
+    // exercised elsewhere.
     spec::evaluation_options eval = s.eval;
     eval.model = spec::fidelity::envelope;
-    eval.record_traces = false;
 
     const std::uint64_t seed = spec::spec_hash(s);
     prng lane_rng(seed);
@@ -200,9 +157,44 @@ inline void check_batch_vs_scalar(const spec::experiment_spec& s) {
             std::span<const dse::system_config>(&configs[i], 1), eval);
         require_results_bit_equal(batch[i], alone.front(),
                                   lane + " batched vs alone (independence)");
-        require_results_equivalent(batch[i], evaluator.evaluate(configs[i], eval),
-                                   lane + " batch kernel vs scalar path");
+        require_results_bit_equal(batch[i], evaluator.evaluate(configs[i], eval),
+                                  lane + " batched vs evaluate()");
     }
+}
+
+/// One answer per request, whatever filled the cache: a cached_evaluator
+/// filled through a 16-wide evaluate_batch answers evaluate() bit-equal to
+/// a cold evaluate() on a fresh evaluator, and one filled through
+/// evaluate() answers the 16-wide evaluate_batch bit-equal to a cold
+/// batch. The 15 companion configs derive from the spec hash.
+inline void check_cache_history_independence(const spec::experiment_spec& s) {
+    prng lane_rng(spec::spec_hash(s));
+    std::vector<dse::system_config> configs;
+    configs.push_back(s.config);
+    while (configs.size() < dse::system_evaluator::k_max_batch_lanes)
+        configs.push_back(gen_system_config(lane_rng));
+
+    const dse::system_evaluator cold(s.scn, s.harv);
+    const dse::evaluation_result cold_one = cold.evaluate(s.config, s.eval);
+    const dse::evaluation_result cold_lane =
+        cold.evaluate_batch(configs, s.eval).front();
+
+    const dse::system_evaluator batch_inner(s.scn, s.harv);
+    const dse::cached_evaluator batch_first(batch_inner, 64);
+    (void)batch_first.evaluate_batch(configs, s.eval);
+    require_results_bit_equal(batch_first.evaluate(s.config, s.eval), cold_one,
+                              "evaluate() after a batch fill vs cold evaluate()");
+    require(batch_first.stats().hits >= 1,
+            "evaluate() after a batch fill missed the cache");
+
+    const dse::system_evaluator one_inner(s.scn, s.harv);
+    const dse::cached_evaluator one_first(one_inner, 64);
+    (void)one_first.evaluate(s.config, s.eval);
+    require_results_bit_equal(one_first.evaluate_batch(configs, s.eval).front(),
+                              cold_lane,
+                              "batch lane after an evaluate() fill vs cold batch");
+    require(one_first.stats().hits >= 1,
+            "evaluate_batch after an evaluate() fill missed the cache");
 }
 
 // --- flow ------------------------------------------------------------------
