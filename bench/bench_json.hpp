@@ -6,11 +6,17 @@
 //
 //   {
 //     "bench": "batch_kernel",
+//     "build": {"build_type": "Release", "native_arch": false, "sanitize": "off", "compiler": "GNU 12.2.0"},
 //     "metrics": [
 //       {"metric": "scalar_evals_per_s", "value": 77.31, "unit": "evals/s", "config": "..."},
 //       ...
 //     ]
 //   }
+//
+// The "build" line records the configuration the numbers came from
+// (bench/CMakeLists.txt defines the EHDSE_BENCH_* macros): check_perf.sh
+// refuses to compare files whose build type, native-arch or sanitizer
+// setting differ; the compiler is information only.
 //
 // Committed BENCH_*.json files at the repo root pin the perf trajectory;
 // EXPERIMENTS.md points at them and the perf-labelled ctest compares.
@@ -21,6 +27,19 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#ifndef EHDSE_BENCH_BUILD_TYPE
+#define EHDSE_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef EHDSE_BENCH_NATIVE_ARCH
+#define EHDSE_BENCH_NATIVE_ARCH 0
+#endif
+#ifndef EHDSE_BENCH_SANITIZE
+#define EHDSE_BENCH_SANITIZE ""
+#endif
+#ifndef EHDSE_BENCH_COMPILER
+#define EHDSE_BENCH_COMPILER "unknown"
+#endif
 
 namespace ehdse::bench {
 
@@ -45,8 +64,17 @@ public:
         std::FILE* out = std::fopen(path.c_str(), "w");
         if (out == nullptr)
             throw std::runtime_error("bench_json: cannot write " + path);
-        std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"metrics\": [\n",
-                     name_.c_str());
+        const char* sanitize = EHDSE_BENCH_SANITIZE;
+        std::fprintf(out,
+                     "{\n  \"bench\": \"%s\",\n"
+                     "  \"build\": {\"build_type\": \"%s\", "
+                     "\"native_arch\": %s, \"sanitize\": \"%s\", "
+                     "\"compiler\": \"%s\"},\n"
+                     "  \"metrics\": [\n",
+                     name_.c_str(), EHDSE_BENCH_BUILD_TYPE,
+                     EHDSE_BENCH_NATIVE_ARCH ? "true" : "false",
+                     *sanitize != '\0' ? sanitize : "off",
+                     EHDSE_BENCH_COMPILER);
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const row& r = rows_[i];
             std::fprintf(out,

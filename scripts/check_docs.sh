@@ -92,6 +92,8 @@ require_section docs/testing.md '^## Fault injection'
 require_section docs/testing.md 'EHDSE_TESTKIT_SEED'
 require_section docs/testing.md 'EHDSE_FUZZ_MS'
 require_section docs/testing.md 'ctest --test-dir build -L testkit'
+require_section docs/testing.md 'EHDSE_SKIP_PERF_GATE'
+require_section EXPERIMENTS.md 'build_bench_tree\.sh'
 
 if [ "$status" -eq 0 ]; then
     echo "check_docs: $checked references ok"

@@ -17,8 +17,15 @@
 #     batch/scalar ratio measures lane amortisation alone; each side's
 #     absolute rate is what guards against regressions.
 #
-# Exit codes: 0 ok, 1 regression, 2 usage/parse error,
-#   77 skipped (EHDSE_SKIP_PERF_GATE set — ctest reports SKIP).
+# Both files must come from the same kind of build: the "build" line
+# (bench/bench_json.hpp) must agree on build_type, native_arch and
+# sanitize, else the files are not comparable (an -O2 or sanitised run
+# against a Release baseline reads as a large "regression") and the
+# script exits 2 without gating. A file without a "build" line counts as
+# "unrecorded". The compiler is printed for information only.
+#
+# Exit codes: 0 ok, 1 regression, 2 usage/parse error or builds not
+#   comparable, 77 skipped (EHDSE_SKIP_PERF_GATE set — ctest reports SKIP).
 set -u
 
 if [ -n "${EHDSE_SKIP_PERF_GATE:-}" ]; then
@@ -49,6 +56,26 @@ read_metrics() {
         print name, v[1], unit;
     }' "$1"
 }
+
+# build_field <file> <key>: one value from the file's "build" line.
+build_field() {
+    local line
+    line=$(grep -m1 '"build":' "$1") || { echo unrecorded; return; }
+    printf '%s\n' "$line" |
+        sed -n 's/.*"'"$2"'": "\{0,1\}\([^",}]*\).*/\1/p'
+}
+
+for key in build_type native_arch sanitize; do
+    f=$(build_field "$fresh" "$key")
+    b=$(build_field "$baseline" "$key")
+    if [ "$f" != "$b" ]; then
+        echo "check_perf: not comparable: $fresh has $key=$f, baseline $baseline has $key=$b" \
+             "(scripts/build_bench_tree.sh builds the baselines' configuration)" >&2
+        exit 2
+    fi
+done
+echo "  info build $(build_field "$fresh" build_type), compiler $(build_field "$fresh" compiler)" \
+     "(baseline: $(build_field "$baseline" compiler))"
 
 status=0
 checked=0
