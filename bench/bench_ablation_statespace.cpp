@@ -9,7 +9,7 @@
 #include "harvester/transient_model.hpp"
 #include "harvester/tuning_table.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 int main() {
     using namespace ehdse;
@@ -49,11 +49,12 @@ int main() {
 
         const auto t0 = clock::now();
         auto x = harvester::transient_model::initial_state(2.8);
-        sim::simulator sim(model, x, opt);
+        sim::single_lane_system lane(model);
+        sim::batch_simulator sim(lane, x, opt);
         sim.run_until(4.0);
-        const double e0 = sim.state_at(harvester::transient_model::ix_harvested);
+        const double e0 = sim.state_at(0, harvester::transient_model::ix_harvested);
         sim.run_until(4.0 + window_s);
-        const double e1 = sim.state_at(harvester::transient_model::ix_harvested);
+        const double e1 = sim.state_at(0, harvester::transient_model::ix_harvested);
         const auto t1 = clock::now();
         const double p_transient = (e1 - e0) / window_s;
         const double ms_transient =

@@ -7,7 +7,7 @@
 #include "harvester/piezo.hpp"
 #include "harvester/piezo_transient.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 #include "harvester/tuning_table.hpp"
 #include "harvester/vibration.hpp"
 
@@ -61,11 +61,12 @@ int main() {
         opt.rel_tol = 1e-6;
         opt.initial_dt = 1e-6;
         opt.max_dt = harvester::piezo_transient_model::suggested_max_dt(f);
-        sim::simulator sim(model, x, opt);
+        sim::single_lane_system lane(model);
+        sim::batch_simulator sim(lane, x, opt);
         sim.run_until(4.0);
-        const double e0 = sim.state_at(harvester::piezo_transient_model::ix_harvested);
+        const double e0 = sim.state_at(0, harvester::piezo_transient_model::ix_harvested);
         sim.run_until(10.0);
-        const double e1 = sim.state_at(harvester::piezo_transient_model::ix_harvested);
+        const double e1 = sim.state_at(0, harvester::piezo_transient_model::ix_harvested);
         std::printf("  piezo transient ground truth: %.1f uW stored (averaged "
                     "model %+.1f%%)\n",
                     (e1 - e0) / 6.0 * 1e6,

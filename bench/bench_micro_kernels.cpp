@@ -15,6 +15,7 @@
 #include "opt/nsga2.hpp"
 #include "rsm/kriging.hpp"
 #include "rsm/quadratic_model.hpp"
+#include "sim/batch_simulator.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -39,11 +40,12 @@ void bm_rk45_oscillator(benchmark::State& state) {
             d[0] = x[1];
             d[1] = -400.0 * x[0];
         });
-    sim::rk45_integrator integ;
+    // One width-1 kernel run over one simulated second.
+    sim::single_lane_system lane(sys);
     for (auto _ : state) {
-        std::vector<double> x{1.0, 0.0};
-        auto status = integ.integrate(sys, 0.0, 1.0, x);
-        benchmark::DoNotOptimize(status.steps_taken);
+        sim::batch_simulator bsim(lane, {1.0, 0.0});
+        bsim.run_until(1.0);
+        benchmark::DoNotOptimize(bsim.lane_steps(0));
     }
 }
 BENCHMARK(bm_rk45_oscillator);

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "node/sensor_node.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace {
 
@@ -54,9 +54,10 @@ int main() {
     constexpr double horizon = 1800.0;
     for (const band& b : bands) {
         null_system sys;
-        ehdse::sim::simulator sim(sys, {0.0});
+        ehdse::sim::single_lane_system lane(sys);
+        ehdse::sim::batch_simulator sim(lane, {0.0});
         pinned_plant plant(b.voltage);
-        ehdse::node::sensor_node node(sim, plant);
+        ehdse::node::sensor_node node(sim.lane(0), plant);
         sim.run_until(horizon);
         const auto tx = node.transmissions();
         char rate[64];

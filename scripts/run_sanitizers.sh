@@ -6,7 +6,7 @@
 #   address   ASan+UBSan (-fsanitize=address,undefined): lifetime and UB
 #
 # Each preset gets its own build tree (build-<preset>) and runs
-#   ctest -L "testkit|exec|rsm|svc|harvester|spec"
+#   ctest -L "testkit|exec|rsm|svc|harvester|spec|sim"
 # The svc label includes the service soak (svc_soak_test), so the TSan
 # pass exercises hundreds of concurrent submissions through the server's
 # reader threads, runner tasks and shared caches. The exec label carries
@@ -16,7 +16,10 @@
 # electrostatic device suites, so both device classes' physics hooks get
 # the lifetime/UB pass as well. The spec label covers the spec-JSON and
 # wire codec (spec parsing, schema migration, canonical hashing) — the
-# code that parses untrusted bytes from clients.
+# code that parses untrusted bytes from clients. The sim label runs the
+# kernel suites (integrator, simulation loop, node, controller, transient
+# model, work-counter pins): every digital process there reaches its lane
+# through batch_simulator's lane-context back-pointers.
 # Usage:
 #   scripts/run_sanitizers.sh              # both presets
 #   EHDSE_SANITIZE=address scripts/run_sanitizers.sh   # one preset
@@ -26,7 +29,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 presets="${EHDSE_SANITIZE:-thread address}"
-labels='testkit|exec|rsm|svc|harvester|spec'
+labels='testkit|exec|rsm|svc|harvester|spec|sim'
 status=0
 
 for preset in $presets; do

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,6 +96,14 @@ public:
 
     const power::energy_ledger& ledger(std::size_t l) const {
         return ledgers_.at(l);
+    }
+
+    /// Where each lane's storage voltage, harvested energy and sustained
+    /// load energy live (the accessors transient_system answers too).
+    static constexpr std::size_t voltage_index() { return ix_voltage; }
+    static constexpr std::size_t harvested_index() { return ix_harvested; }
+    static constexpr std::optional<std::size_t> load_energy_index() {
+        return ix_load_energy;
     }
 
     // --- batch_analog_system ---

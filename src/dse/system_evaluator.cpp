@@ -119,10 +119,11 @@ void record_batch_metrics(std::size_t lanes, bool fallback) {
 
 evaluation_result system_evaluator::evaluate(const system_config& config,
                                              const evaluation_options& options) const {
-    if (options.model == fidelity::transient)
-        return run_transient(config, options);
     evaluation_result out;
-    run_envelope({&config, 1}, options, {&out, 1});
+    if (options.model == fidelity::transient)
+        run_transient(config, options, out);
+    else
+        run_envelope({&config, 1}, options, {&out, 1});
     return out;
 }
 
@@ -150,14 +151,11 @@ std::unique_ptr<sim::batch_analog_system> system_evaluator::decorate_kernel(
 void system_evaluator::run_envelope(const std::span<const system_config> configs,
                                     const evaluation_options& options,
                                     const std::span<evaluation_result> out) const {
-    using ix = batch_envelope_system::state_index;
     for (std::size_t first = 0; first < configs.size();
          first += k_max_batch_lanes) {
         const std::size_t lanes =
             std::min(k_max_batch_lanes, configs.size() - first);
         const std::span<const system_config> chunk = configs.subspan(first, lanes);
-        const std::span<evaluation_result> results = out.subspan(first, lanes);
-        runs_ += lanes;
         const obs::stopwatch watch;
 
         // Per-chunk stimulus — same scenario for every lane, so one
@@ -172,118 +170,92 @@ void system_evaluator::run_envelope(const std::span<const system_config> configs
             decorate_kernel(system, chunk, options);
         sim::batch_simulator bsim(decorated ? *decorated : system, std::move(x0),
                                   system.suggested_ode_options());
-
-        // Digital side per lane: node first, then controller (each lane's
-        // event queue keeps that FIFO order for same-time events).
-        std::deque<node::sensor_node> nodes;
-        std::deque<mcu::tuning_controller> controllers;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const digital_params p = digital_for(chunk[l], options, node_, controller_);
-            nodes.emplace_back(bsim.lane(l), system.plant(l), p.node,
-                               /*first_wake_s=*/0.0);
-            controllers.emplace_back(bsim.lane(l), system.plant(l), table_,
-                                     p.controller);
-        }
-
-        std::vector<double> v_min(lanes, scenario_.v_initial);
-        std::vector<double> v_max(lanes, scenario_.v_initial);
-        bsim.add_step_observer([&](std::size_t l, double) {
-            const double v = bsim.state_at(l, ix::ix_voltage);
-            v_min[l] = std::min(v_min[l], v);
-            v_max[l] = std::max(v_max[l], v);
-        });
-        if (options.record_traces) {
-            for (evaluation_result& r : results) {
-                r.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
-                r.position_trace.emplace("actuator_position",
-                                         options.trace_interval_s);
-            }
-            bsim.add_step_observer([&](std::size_t l, double t) {
-                results[l].voltage_trace->record(t, bsim.state_at(l, ix::ix_voltage));
-                results[l].position_trace->record(
-                    t, static_cast<double>(system.plant(l).position()));
-            });
-        }
-
-        bsim.run_until(scenario_.duration_s);
-
-        // Wall clock is shared by construction; attribute an even share to
-        // each lane so throughput metrics stay meaningful.
-        const double wall_s = watch.seconds() / static_cast<double>(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            evaluation_result& r = results[l];
-            r.sim_ok = bsim.lane_ok(l);
-            r.transmissions = nodes[l].transmissions();
-            r.suppressed_wakeups = nodes[l].suppressed_wakeups();
-            r.low_band_transmissions = nodes[l].low_band_transmissions();
-            r.tuning = controllers[l].stats();
-            r.final_voltage_v = bsim.state_at(l, ix::ix_voltage);
-            r.min_voltage_v = v_min[l];
-            r.max_voltage_v = v_max[l];
-            r.harvested_energy_j = bsim.state_at(l, ix::ix_harvested);
-            r.sustained_load_energy_j = bsim.state_at(l, ix::ix_load_energy);
-            r.ledger = system.ledger(l);
-            r.withdrawn_energy_j = r.ledger.grand_total();
-            r.ode_steps = bsim.lane_steps(l);
-            r.ode_steps_rejected = bsim.lane_rejected_steps(l);
-            r.events = bsim.lane_events(l);
-            r.wall_time_s = wall_s;
-            record_run_metrics(r);
-        }
-        record_batch_metrics(lanes, /*fallback=*/false);
+        run_lanes(system, bsim, chunk, options, out.subspan(first, lanes), watch);
     }
 }
 
-evaluation_result system_evaluator::run_transient(
-    const system_config& config, const evaluation_options& options) const {
-    ++runs_;
+void system_evaluator::run_transient(const system_config& config,
+                                     const evaluation_options& options,
+                                     evaluation_result& out) const {
     const obs::stopwatch watch;
     const harvester::vibration_source vib = scenario_.make_vibration();
     transient_system system(*model_, vib, storage_or(storage_, cap_), rect_);
-    const std::size_t iv = system.voltage_index();
     std::vector<double> x0 =
         system.initial_state(scenario_.v_initial, start_position(scenario_, table_));
-    sim::simulator sim(system, std::move(x0), system.suggested_ode_options());
-    system.attach(sim);
+    sim::batch_simulator bsim(system.kernel(), std::move(x0),
+                              system.suggested_ode_options());
+    system.attach(bsim.lane(0));
+    run_lanes(system, bsim, {&config, 1}, options, {&out, 1}, watch);
+}
 
-    const digital_params p = digital_for(config, options, node_, controller_);
-    node::sensor_node node(sim, system, p.node, /*first_wake_s=*/0.0);
-    mcu::tuning_controller controller(sim, system, table_, p.controller);
+template <class System>
+void system_evaluator::run_lanes(System& system, sim::batch_simulator& bsim,
+                                 const std::span<const system_config> chunk,
+                                 const evaluation_options& options,
+                                 const std::span<evaluation_result> results,
+                                 const obs::stopwatch& watch) const {
+    const std::size_t lanes = chunk.size();
+    const std::size_t iv = system.voltage_index();
+    runs_ += lanes;
 
-    evaluation_result out;
-    double v_min = scenario_.v_initial;
-    double v_max = scenario_.v_initial;
-    sim.add_step_observer([&](double, std::span<const double> x) {
-        v_min = std::min(v_min, x[iv]);
-        v_max = std::max(v_max, x[iv]);
+    // Digital side per lane: node first, then controller (each lane's
+    // event queue keeps that FIFO order for same-time events).
+    std::deque<node::sensor_node> nodes;
+    std::deque<mcu::tuning_controller> controllers;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const digital_params p = digital_for(chunk[l], options, node_, controller_);
+        nodes.emplace_back(bsim.lane(l), system.plant(l), p.node,
+                           /*first_wake_s=*/0.0);
+        controllers.emplace_back(bsim.lane(l), system.plant(l), table_,
+                                 p.controller);
+    }
+
+    std::vector<double> v_min(lanes, scenario_.v_initial);
+    std::vector<double> v_max(lanes, scenario_.v_initial);
+    bsim.add_step_observer([&](std::size_t l, double) {
+        const double v = bsim.state_at(l, iv);
+        v_min[l] = std::min(v_min[l], v);
+        v_max[l] = std::max(v_max[l], v);
     });
     if (options.record_traces) {
-        out.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
-        out.position_trace.emplace("actuator_position", options.trace_interval_s);
-        sim.add_step_observer([&](double t, std::span<const double> x) {
-            out.voltage_trace->record(t, x[iv]);
-            out.position_trace->record(t, static_cast<double>(system.position()));
+        for (evaluation_result& r : results) {
+            r.voltage_trace.emplace("supercap_voltage", options.trace_interval_s);
+            r.position_trace.emplace("actuator_position", options.trace_interval_s);
+        }
+        bsim.add_step_observer([&](std::size_t l, double t) {
+            results[l].voltage_trace->record(t, bsim.state_at(l, iv));
+            results[l].position_trace->record(
+                t, static_cast<double>(system.plant(l).position()));
         });
     }
 
-    out.sim_ok = sim.run_until(scenario_.duration_s);
+    bsim.run_until(scenario_.duration_s);
 
-    out.transmissions = node.transmissions();
-    out.suppressed_wakeups = node.suppressed_wakeups();
-    out.low_band_transmissions = node.low_band_transmissions();
-    out.tuning = controller.stats();
-    out.final_voltage_v = sim.state_at(iv);
-    out.min_voltage_v = v_min;
-    out.max_voltage_v = v_max;
-    out.harvested_energy_j = sim.state_at(system.harvested_index());
-    out.ledger = system.ledger();
-    out.withdrawn_energy_j = out.ledger.grand_total();
-    out.ode_steps = sim.total_steps();
-    out.ode_steps_rejected = sim.total_rejected_steps();
-    out.events = sim.total_events();
-    out.wall_time_s = watch.seconds();
-    record_run_metrics(out);
-    return out;
+    // Wall clock is shared by construction; attribute an even share to
+    // each lane so throughput metrics stay meaningful.
+    const double wall_s = watch.seconds() / static_cast<double>(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        evaluation_result& r = results[l];
+        r.sim_ok = bsim.lane_ok(l);
+        r.transmissions = nodes[l].transmissions();
+        r.suppressed_wakeups = nodes[l].suppressed_wakeups();
+        r.low_band_transmissions = nodes[l].low_band_transmissions();
+        r.tuning = controllers[l].stats();
+        r.final_voltage_v = bsim.state_at(l, iv);
+        r.min_voltage_v = v_min[l];
+        r.max_voltage_v = v_max[l];
+        r.harvested_energy_j = bsim.state_at(l, system.harvested_index());
+        if (const std::optional<std::size_t> il = system.load_energy_index())
+            r.sustained_load_energy_j = bsim.state_at(l, *il);
+        r.ledger = system.ledger(l);
+        r.withdrawn_energy_j = r.ledger.grand_total();
+        r.ode_steps = bsim.lane_steps(l);
+        r.ode_steps_rejected = bsim.lane_rejected_steps(l);
+        r.events = bsim.lane_events(l);
+        r.wall_time_s = wall_s;
+        record_run_metrics(r);
+    }
+    record_batch_metrics(lanes, /*fallback=*/false);
 }
 
 }  // namespace ehdse::dse

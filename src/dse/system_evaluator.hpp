@@ -23,6 +23,10 @@
 #include "sim/trace.hpp"
 #include "spec/experiment_spec.hpp"
 
+namespace ehdse::obs {
+class stopwatch;
+}
+
 namespace ehdse::dse {
 
 /// Stimulus and initial conditions (paper section V: 60 mg, +5 Hz steps
@@ -51,7 +55,11 @@ struct evaluation_result {
     std::size_t ode_steps = 0;
     std::size_t ode_steps_rejected = 0;   ///< error-controlled integrator retries
     std::uint64_t events = 0;
-    double wall_time_s = 0.0;             ///< wall clock spent in evaluate()
+    /// Wall clock of the kernel run that produced this result, divided
+    /// evenly among its lanes: a lane of an n-wide evaluate_batch chunk
+    /// reports the chunk's wall time / n (an equal share of a shared run,
+    /// not a per-lane measurement); evaluate() is a run of one lane.
+    double wall_time_s = 0.0;
     bool sim_ok = true;
     std::optional<sim::trace> voltage_trace;   ///< when tracing was requested
     std::optional<sim::trace> position_trace;  ///< actuator position over time
@@ -60,12 +68,13 @@ struct evaluation_result {
 /// Reusable evaluator: fixed physics (harvester backend, scenario, node
 /// and controller base parameters), varying system_config per call.
 ///
-/// Envelope fidelity has exactly one simulation loop, the SoA batch kernel
-/// (batch_envelope_system on sim::batch_simulator): evaluate() runs it at
-/// width 1, evaluate_batch() at up to k_max_batch_lanes, so a design
-/// point's result is bit-identical whichever entry point (and batch)
-/// produced it. Transient fidelity runs transient_system on the scalar
-/// sim::simulator.
+/// There is exactly one simulation loop, the SoA batch kernel
+/// (sim::batch_simulator). Envelope fidelity runs batch_envelope_system
+/// on it: evaluate() at width 1, evaluate_batch() at up to
+/// k_max_batch_lanes, so a design point's result is bit-identical
+/// whichever entry point (and batch) produced it. Transient fidelity runs
+/// transient_system on it at width 1, through the same digital wiring,
+/// observers and result fill (run_lanes).
 ///
 /// Polymorphic by design: evaluate() and evaluate_batch() are virtual so
 /// test harnesses and forwarders can interpose on the whole-request level
@@ -126,7 +135,8 @@ public:
     /// Evaluate many configs against the same scenario/options in one
     /// call. Envelope fidelity runs the batch kernel in chunks of at most
     /// k_max_batch_lanes; transient fidelity falls back to per-config
-    /// evaluate(). Results are positional: out[i] corresponds to
+    /// evaluate(), one width-1 kernel run each. Results are positional:
+    /// out[i] corresponds to
     /// configs[i], and each lane's result is bit-identical to evaluate()
     /// of the same config, whichever other configs share its batch.
     virtual std::vector<evaluation_result> evaluate_batch(
@@ -163,8 +173,20 @@ private:
     void run_envelope(std::span<const system_config> configs,
                       const evaluation_options& options,
                       std::span<evaluation_result> out) const;
-    evaluation_result run_transient(const system_config& config,
-                                    const evaluation_options& options) const;
+    /// transient_system on the kernel at width 1.
+    void run_transient(const system_config& config,
+                       const evaluation_options& options,
+                       evaluation_result& out) const;
+    /// What a kernel run does once its simulator exists, whatever the
+    /// fidelity: lane l of `bsim` hosts chunk[l] on system.plant(l); wire
+    /// the digital side, track min/max voltage (and traces), run to the
+    /// horizon and fill results[l]. `watch` started with the run.
+    template <class System>
+    void run_lanes(System& system, sim::batch_simulator& bsim,
+                   std::span<const system_config> chunk,
+                   const evaluation_options& options,
+                   std::span<evaluation_result> results,
+                   const obs::stopwatch& watch) const;
 
     scenario scenario_;
     spec::harvester_spec harv_;

@@ -21,7 +21,18 @@ transient_system::transient_system(
       storage_(storage ? std::move(storage)
                        : throw std::invalid_argument("transient_system: null storage")),
       rect_(rect),
-      rhs_(model_->make_transient(vib_, *storage_, loads_, rect_)) {}
+      rhs_(model_->make_transient(vib_, *storage_, loads_, rect_)),
+      kernel_(*rhs_) {}
+
+harvester::plant& transient_system::plant(std::size_t lane) {
+    if (lane != 0) throw std::out_of_range("transient_system: one lane only");
+    return *this;
+}
+
+const power::energy_ledger& transient_system::ledger(std::size_t lane) const {
+    if (lane != 0) throw std::out_of_range("transient_system: one lane only");
+    return ledger_;
+}
 
 sim::sim_context& transient_system::sim() const {
     if (sim_ == nullptr)

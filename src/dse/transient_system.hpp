@@ -1,8 +1,12 @@
 // The complete sensor-node system over the FULL nonlinear transient model
 // — same digital processes, same plant interface as the envelope model
-// (batch_envelope_system's per-lane plants), but the analogue side resolves every vibration cycle and every conditioning-
-// circuit switching event. The per-cycle ODE system comes from the
-// harvester_model registry entry (harvester_model::make_transient).
+// (batch_envelope_system's per-lane plants), but the analogue side
+// resolves every vibration cycle and every conditioning-circuit switching
+// event. The per-cycle ODE system comes from the harvester_model registry
+// entry (harvester_model::make_transient) and runs on sim::batch_simulator
+// as a batch of one (kernel()); the system answers the same per-lane
+// accessors as batch_envelope_system (plant(0), ledger(0), state indices),
+// so one evaluator loop serves both fidelities.
 //
 // Roughly 5000x slower than the envelope plant (tens of milliseconds of
 // wall clock per simulated minute), so it serves validation
@@ -10,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,13 +25,12 @@
 #include "power/energy_ledger.hpp"
 #include "power/load_bank.hpp"
 #include "power/supercapacitor.hpp"
+#include "sim/batch_ode.hpp"
 #include "sim/context.hpp"
-#include "sim/ode.hpp"
 
 namespace ehdse::dse {
 
-class transient_system final : public sim::analog_system,
-                               public harvester::plant {
+class transient_system final : public harvester::plant {
 public:
     /// `model` and `vib` must outlive the system. Storage defaults to the
     /// paper's supercapacitor built from `cap`.
@@ -41,9 +45,12 @@ public:
                      std::shared_ptr<const power::storage_model> storage,
                      power::rectifier_params rect = {});
 
-    /// Bind the simulator whose state vector this system reads/writes when
+    /// The transient RHS as a width-1 batch system, for the simulator.
+    sim::batch_analog_system& kernel() noexcept { return kernel_; }
+
+    /// Bind the simulator lane whose state this system reads/writes when
     /// servicing plant calls. Must be called before the first event fires.
-    void attach(sim::sim_context& sim) { sim_ = &sim; }
+    void attach(sim::sim_context& lane) { sim_ = &lane; }
 
     /// Initial state: mass at rest, store at v0, actuator at the position.
     std::vector<double> initial_state(double v0, int initial_position);
@@ -57,16 +64,10 @@ public:
     /// dV/dt directly, so there is no separate load-energy state.
     std::size_t voltage_index() const { return rhs_->voltage_index(); }
     std::size_t harvested_index() const { return rhs_->harvested_index(); }
+    std::optional<std::size_t> load_energy_index() const { return std::nullopt; }
 
     /// Integrator ceiling that resolves the fastest resonance.
     double suggested_max_dt() const;
-
-    // --- analog_system (delegated to the model's transient RHS) ---
-    std::size_t state_size() const override { return rhs_->state_size(); }
-    void derivatives(double t, std::span<const double> x,
-                     std::span<double> dxdt) const override {
-        rhs_->derivatives(t, x, dxdt);
-    }
 
     // --- plant ---
     double storage_voltage() const override;
@@ -77,8 +78,12 @@ public:
     double vibration_frequency() const override;
     double phase_lag() const override;
 
-    /// Energy accounting of the discrete withdrawals.
-    const power::energy_ledger& ledger() const noexcept { return ledger_; }
+    /// The plant of lane 0, the only lane (out_of_range for any other).
+    harvester::plant& plant(std::size_t lane);
+
+    /// Energy accounting of lane 0's discrete withdrawals.
+    const power::energy_ledger& ledger(std::size_t lane) const;
+
     const harvester::harvester_model& model() const noexcept { return *model_; }
 
 private:
@@ -90,6 +95,7 @@ private:
     power::rectifier_params rect_;
     power::load_bank loads_;
     std::unique_ptr<harvester::transient_rhs> rhs_;
+    sim::single_lane_system kernel_;
     std::unordered_map<std::string, power::load_id> load_slots_;
     power::energy_ledger ledger_;
     sim::sim_context* sim_ = nullptr;

@@ -25,7 +25,7 @@
 #include "mcu/frequency_meter.hpp"
 #include "mcu/power_model.hpp"
 #include "numeric/rng.hpp"
-#include "sim/simulator.hpp"
+#include "sim/context.hpp"
 
 namespace ehdse::mcu {
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "harvester/plant.hpp"
-#include "sim/simulator.hpp"
+#include "sim/context.hpp"
 
 namespace ehdse::node {
 

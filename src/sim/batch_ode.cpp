@@ -19,7 +19,7 @@ std::vector<double> batch_state::lane_state(std::size_t lane) const {
 }
 
 namespace {
-// Cash–Karp tableau — the same as the scalar integrator's (ode.cpp).
+// Cash–Karp tableau.
 constexpr double a2 = 1.0 / 5.0;
 constexpr double a3 = 3.0 / 10.0;
 constexpr double a4 = 3.0 / 5.0;
@@ -49,9 +49,8 @@ batch_rk45_integrator::batch_rk45_integrator(std::size_t vars,
       opt_(options),
       dt_hint_(lanes, 0.0),
       dt_try_(vars * lanes, 0.0),
-      stage_t_(lanes, 0.0),
+      stage_t_(5 * lanes, 0.0),
       err_(vars * lanes, 0.0),
-      attempt_(lanes, 0),
       failed_(lanes, 0),
       segment_attempts_(lanes, 0),
       steps_taken_(lanes, 0),
@@ -77,40 +76,42 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
     if (t.size() != B || target.size() != B || outcome.size() != B ||
         x.lanes() != B || x.vars() != vars_)
         throw std::invalid_argument("batch_rk45_integrator: size mismatch");
+    const ode_options opt = opt_;
 
-    // Build this sweep's attempt mask and per-lane trial steps. An
-    // inactive lane gets dt_try = 0, which makes every stage below a
-    // no-op for its slots (xtmp == x, stage time == t) without branching
-    // inside the vectorised loops.
-    std::size_t attempted = 0;
-    for (std::size_t l = 0; l < B; ++l) {
-        outcome[l] = lane_step::idle;
-        const bool active = !failed_[l] && t[l] < target[l];
-        attempt_[l] = active ? 1 : 0;
-        if (!active) {
-            dt_try_[l] = 0.0;
-            continue;
-        }
-        ++attempted;
-        double dt = dt_hint_[l] > 0.0 ? dt_hint_[l] : opt_.initial_dt;
-        dt = std::min(dt, opt_.max_dt);
-        dt = std::min(dt, target[l] - t[l]);
-        dt_try_[l] = dt;
-    }
-    if (attempted == 0) return 0;
-    // Every variable row carries its lane's dt, so each stage combination
-    // below is ONE flat loop over all vars * lanes values — per-sweep loop
-    // overhead independent of the state size, which dominates at narrow
-    // widths.
+    // Per-lane set-up: the trial step, replicated into every variable row
+    // of dt_try_ (so each stage combination below is ONE flat loop over
+    // all vars * lanes values — per-sweep loop overhead independent of the
+    // state size, which dominates at narrow widths), and the times of
+    // stages 2-6. outcome[l] != idle marks the lanes attempted this sweep
+    // until the accept/reject below settles it. An inactive lane gets
+    // dt = 0, which makes every stage a no-op for its slots (xtmp == x,
+    // stage time == t) without branching inside the stage loops.
     const std::size_t n = vars_ * B;
     double* h = dt_try_.data();
-    for (std::size_t i = B; i < n; ++i) h[i] = h[i - B];
-
-    const auto stage = [&](const batch_state& from, double frac,
+    double* ts = stage_t_.data();
+    std::size_t attempted = 0;
+    for (std::size_t l = 0; l < B; ++l) {
+        const bool active = !failed_[l] && t[l] < target[l];
+        outcome[l] = active ? lane_step::rejected : lane_step::idle;
+        double dt = 0.0;
+        if (active) {
+            ++attempted;
+            dt = dt_hint_[l] > 0.0 ? dt_hint_[l] : opt.initial_dt;
+            dt = std::min(dt, opt.max_dt);
+            dt = std::min(dt, target[l] - t[l]);
+        }
+        for (std::size_t i = l; i < n; i += B) h[i] = dt;
+        const double tl = t[l];
+        ts[l] = tl + a2 * dt;
+        ts[B + l] = tl + a3 * dt;
+        ts[2 * B + l] = tl + a4 * dt;
+        ts[3 * B + l] = tl + a5 * dt;
+        ts[4 * B + l] = tl + a6 * dt;
+    }
+    if (attempted == 0) return 0;
+    const auto stage = [&](std::size_t s, const batch_state& from,
                            batch_state& k) {
-        for (std::size_t l = 0; l < B; ++l)
-            stage_t_[l] = t[l] + frac * h[l];
-        sys.derivatives(stage_t_, from, k);
+        sys.derivatives({ts + (s - 2) * B, B}, from, k);
     };
 
     // Six Cash–Karp stages.
@@ -122,23 +123,25 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
     const double* k5 = k5_.data();
     const double* k6 = k6_.data();
     double* tmp = xtmp_.data();
-    stage(x, 0.0, k1_);
+    // The first stage runs at the lanes' own times (t + 0 * dt == t), so
+    // its RHS does not wait on this sweep's step-size arithmetic.
+    sys.derivatives(t, x, k1_);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x0[i] + h[i] * (b21 * k1[i]);
-    stage(xtmp_, a2, k2_);
+    stage(2, xtmp_, k2_);
     for (std::size_t i = 0; i < n; ++i)
         tmp[i] = x0[i] + h[i] * (b31 * k1[i] + b32 * k2[i]);
-    stage(xtmp_, a3, k3_);
+    stage(3, xtmp_, k3_);
     for (std::size_t i = 0; i < n; ++i)
         tmp[i] = x0[i] + h[i] * (b41 * k1[i] + b42 * k2[i] + b43 * k3[i]);
-    stage(xtmp_, a4, k4_);
+    stage(4, xtmp_, k4_);
     for (std::size_t i = 0; i < n; ++i)
         tmp[i] = x0[i] + h[i] * (b51 * k1[i] + b52 * k2[i] + b53 * k3[i] +
                                   b54 * k4[i]);
-    stage(xtmp_, a5, k5_);
+    stage(5, xtmp_, k5_);
     for (std::size_t i = 0; i < n; ++i)
         tmp[i] = x0[i] + h[i] * (b61 * k1[i] + b62 * k2[i] + b63 * k3[i] +
                                   b64 * k4[i] + b65 * k5[i]);
-    stage(xtmp_, a6, k6_);
+    stage(6, xtmp_, k6_);
 
     // Embedded 4th/5th-order error estimate per value, then per lane the
     // max over variables (in variable order).
@@ -151,45 +154,53 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
                                            d4 * k4[i] + d5 * k5[i] + d6 * k6[i]);
         x5v[i] = x5;
         const double sc =
-            opt_.abs_tol + opt_.rel_tol * std::max(std::abs(x0[i]), std::abs(x5));
+            opt.abs_tol + opt.rel_tol * std::max(std::abs(x0[i]), std::abs(x5));
         err[i] = std::abs(x5 - x4) / sc;
     }
 
-    // Per-lane accept/reject — scalar bookkeeping (pow is off the
-    // vector path; it runs once per lane per sweep, not per stage).
+    // Per-lane accept/reject (pow runs once per lane per sweep, not per
+    // stage).
+    std::size_t advanced = 0;
     for (std::size_t l = 0; l < B; ++l) {
-        if (!attempt_[l]) continue;
-        if (segment_attempts_[l] >= opt_.max_steps) {
+        if (outcome[l] == lane_step::idle) continue;
+        if (segment_attempts_[l] >= opt.max_steps) {
             failed_[l] = 1;
             outcome[l] = lane_step::failed;
             continue;
         }
         ++segment_attempts_[l];
-        const double dt = dt_try_[l];
+        const double dt = h[l];
         double err_ratio = 0.0;
         for (std::size_t v = 0; v < vars_; ++v)
-            err_ratio = std::max(err_ratio, err_[v * B + l]);
+            err_ratio = std::max(err_ratio, err[v * B + l]);
         if (err_ratio <= 1.0) {
             t[l] += dt;
-            for (std::size_t v = 0; v < vars_; ++v)
-                x.var(v)[l] = x5_.var(v)[l];
             ++steps_taken_[l];
+            ++advanced;
             outcome[l] = lane_step::advanced;
             const double grow =
                 err_ratio > 1e-10 ? 0.9 * std::pow(err_ratio, -0.2) : 5.0;
-            dt_hint_[l] = std::min(dt * std::min(grow, 5.0), opt_.max_dt);
+            dt_hint_[l] = std::min(dt * std::min(grow, 5.0), opt.max_dt);
         } else {
             ++steps_rejected_[l];
             const double shrunk =
                 dt * std::max(0.9 * std::pow(err_ratio, -0.25), 0.1);
             dt_hint_[l] = shrunk;
-            if (shrunk < opt_.min_dt) {
+            if (shrunk < opt.min_dt) {
                 failed_[l] = 1;
                 outcome[l] = lane_step::failed;
-            } else {
-                outcome[l] = lane_step::rejected;
             }
         }
+    }
+    // Advanced lanes take their 5th-order solution: all lanes at once by
+    // swapping buffers when every lane advanced, else lane by lane.
+    if (advanced == B) {
+        x.swap(x5_);
+    } else if (advanced > 0) {
+        for (std::size_t l = 0; l < B; ++l)
+            if (outcome[l] == lane_step::advanced)
+                for (std::size_t v = 0; v < vars_; ++v)
+                    x.var(v)[l] = x5_.var(v)[l];
     }
     return attempted;
 }

@@ -1,20 +1,21 @@
-// Batch (SIMD-friendly) half of the mixed-signal kernel.
+// Analogue half of the mixed-signal kernel.
 //
 // Every phase of the RSM flow evaluates many design points whose analogue
 // structure is identical — same state layout, same equations, different
 // coefficients. The batch kernel exploits that: state lives in
-// structure-of-arrays form (`state[var][lane]`, contiguous per variable)
-// and one Cash–Karp RK45 step advances all B lanes through flat inner
-// loops over lanes that GCC auto-vectorises. Step control is per lane and
+// structure-of-arrays form (`state[var][lane]`, contiguous per variable),
+// the RHS (batch_analog_system) evaluates all B lanes in one call, and one
+// Cash–Karp RK45 step advances them through flat loops over all
+// vars * lanes values. Step control is per lane and
 // masked: each lane carries its own adaptive dt and accept/reject
 // decision, so a stiff lane shrinks its own step without stalling the
 // batch, and an idle lane (sitting at its event horizon) is simply
 // excluded from the sweep.
 //
-// The tableau and step-control formulas are those of the scalar
-// `rk45_integrator` (ode.cpp), which now serves transient fidelity only:
-// every envelope-fidelity run, a single evaluate() included, goes through
-// this integrator.
+// This is the only adaptive integrator: every run, envelope or transient
+// fidelity, a single evaluate() included, goes through it. A scalar
+// `analog_system` (the transient RHS, a test's closed-form ODE) runs as a
+// batch of one through `single_lane_system`.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +65,9 @@ public:
     /// Extract lane `lane` as a scalar state vector.
     std::vector<double> lane_state(std::size_t lane) const;
 
+    /// Exchange values with a state of the same shape.
+    void swap(batch_state& other) noexcept { data_.swap(other.data_); }
+
 private:
     std::size_t vars_ = 0;
     std::size_t lanes_ = 0;
@@ -97,6 +101,26 @@ public:
                              batch_state& dxdt) const = 0;
 };
 
+/// A scalar analog_system as a width-1 batch_analog_system. A width-1
+/// batch_state holds one value per variable row, back to back, so its
+/// storage is the scalar state vector: the scalar RHS reads and writes
+/// the lane in place, with no copy. The scalar system must outlive the
+/// adapter.
+class single_lane_system final : public batch_analog_system {
+public:
+    explicit single_lane_system(const analog_system& sys) : sys_(sys) {}
+
+    std::size_t state_size() const override { return sys_.state_size(); }
+    std::size_t lanes() const override { return 1; }
+    void derivatives(std::span<const double> t, const batch_state& x,
+                     batch_state& dxdt) const override {
+        sys_.derivatives(t[0], {x.data(), x.vars()}, {dxdt.data(), dxdt.vars()});
+    }
+
+private:
+    const analog_system& sys_;
+};
+
 /// Per-lane outcome of one step sweep.
 enum class lane_step : std::uint8_t {
     idle = 0,   ///< lane was not attempted (already at its target, or failed)
@@ -111,8 +135,9 @@ enum class lane_step : std::uint8_t {
 /// lane (t[lane] < target[lane]): six stage evaluations batched across
 /// lanes, then a per-lane accept/reject. The caller (batch_simulator)
 /// loops sweeps, snapping lanes that arrive at their targets and firing
-/// their digital events. Per-lane dt hints persist across segments exactly
-/// like the scalar integrator's dt_hint_.
+/// their digital events. Per-lane dt hints persist across segments, so a
+/// segment between two events resumes at the step size the last one
+/// reached.
 class batch_rk45_integrator {
 public:
     batch_rk45_integrator(std::size_t vars, std::size_t lanes,
@@ -132,7 +157,7 @@ public:
                           std::span<lane_step> outcome);
 
     /// Reset lane l's per-segment step budget (max_steps is per segment
-    /// between digital events, mirroring one scalar integrate() call).
+    /// between digital events).
     void start_segment(std::size_t lane) { segment_attempts_[lane] = 0; }
 
     /// Cumulative accepted / rejected steps for lane l.
@@ -143,7 +168,7 @@ public:
         return steps_rejected_[lane];
     }
 
-    /// Final per-lane step size (resume hint), mirroring ode_status::last_dt.
+    /// Lane l's step size for its next attempt (the resume hint).
     double last_dt(std::size_t lane) const { return dt_hint_[lane]; }
 
 private:
@@ -153,9 +178,8 @@ private:
 
     std::vector<double> dt_hint_;    ///< carried across segments; 0 = unset
     std::vector<double> dt_try_;     ///< this sweep's trial step, per value
-    std::vector<double> stage_t_;    ///< per-lane stage times
+    std::vector<double> stage_t_;    ///< stage 2-6 times, one row of lanes each
     std::vector<double> err_;        ///< this sweep's error ratio, per value
-    std::vector<std::uint8_t> attempt_;  ///< per-lane "in this sweep" mask
     std::vector<std::uint8_t> failed_;   ///< per-lane sticky failure flag
     std::vector<std::size_t> segment_attempts_;
     std::vector<std::size_t> steps_taken_;

@@ -66,7 +66,7 @@ bool batch_simulator::lane_state_finite(std::size_t l) const {
 
 void batch_simulator::service_lane(std::size_t l, double t_end) {
     // Fire every event due at/before now (same-time re-schedules fire too:
-    // FIFO), exactly like the scalar kernel's event loop.
+    // FIFO).
     event_queue& q = queues_[l];
     const bool fired = !q.empty() && q.next_time() <= now_[l];
     while (!q.empty() && q.next_time() <= now_[l]) q.pop_and_run();
@@ -89,8 +89,7 @@ void batch_simulator::service_lane(std::size_t l, double t_end) {
         done_[l] = 1;
         return;
     }
-    // New segment between digital events: fresh max_steps budget, exactly
-    // like one scalar integrate() call.
+    // New segment between digital events: fresh max_steps budget.
     integrator_.start_segment(l);
 }
 
@@ -103,37 +102,31 @@ bool batch_simulator::run_until(double t_end) {
         // Treat every live lane as "arrived" so the first loop iteration
         // services initial events (e.g. wake-ups scheduled at t = 0).
         target_[l] = now_[l];
+        outcome_[l] = lane_step::idle;
     }
 
     while (true) {
+        // One pass per sweep: each lane settles the last sweep's outcome,
+        // then, if it arrived at its target, snaps exactly onto it and is
+        // serviced.
         std::size_t live = 0;
         for (std::size_t l = 0; l < lanes_; ++l) {
+            if (outcome_[l] == lane_step::advanced)
+                notify(l);
+            else if (outcome_[l] == lane_step::failed)
+                ok_[l] = 0;
             if (!ok_[l] || done_[l]) continue;
             if (now_[l] >= target_[l]) {
-                // Arrived: snap exactly onto the target (the scalar kernel
-                // sets now_ = t_target after integrate_to) and service.
                 now_[l] = target_[l];
                 service_lane(l, t_end);
+                if (!ok_[l] || done_[l]) continue;
             }
-            if (ok_[l] && !done_[l]) ++live;
+            ++live;
         }
         if (live == 0) break;
 
         ++sweeps_;
         integrator_.step_once(sys_, now_, target_, state_, outcome_);
-        for (std::size_t l = 0; l < lanes_; ++l) {
-            switch (outcome_[l]) {
-                case lane_step::advanced:
-                    notify(l);
-                    break;
-                case lane_step::failed:
-                    ok_[l] = 0;
-                    break;
-                case lane_step::idle:
-                case lane_step::rejected:
-                    break;
-            }
-        }
     }
 
     flush_metrics();

@@ -1,24 +1,30 @@
-// Batch mixed-signal coordinator: B design points, one step sweep.
+// Mixed-signal simulation coordinator — the ehdse stand-in for the
+// SystemC-A kernel used in the paper, over B design points at once.
 //
-// Mirrors `simulator` (the scalar kernel) lane-for-lane. Each lane owns a
-// digital event queue and a `sim_context` handle, so the digital processes
-// (sensor node, tuning controller) written against sim_context run
-// unmodified per lane. The analogue side advances all lanes together
+// Per lane, operation mirrors an analogue/digital lock-step HDL kernel:
+// integrate the analogue state up to the earliest pending digital event,
+// fire every event due then (FIFO order; events may read the analogue
+// state, perturb it — e.g. withdraw a packet's worth of charge from the
+// supercapacitor — and change analogue inputs such as load conductances
+// that the next segment sees), and repeat until the horizon. Each lane
+// owns a digital event queue and a `sim_context` handle, so the digital
+// processes (sensor node, tuning controller) written against sim_context
+// run unmodified per lane. The analogue side advances all lanes together
 // through `batch_rk45_integrator` under a merged next-event horizon:
 //
 //   1. each lane's integration target is min(its next event time, t_end);
 //   2. one masked RK45 sweep advances every lane still short of its
 //      target (per-lane adaptive dt — a stiff lane cannot stall the rest);
-//   3. lanes that arrive are snapped exactly onto their target (as the
-//      scalar kernel snaps now_ = t_target), their due events fire in FIFO
-//      order, their targets are recomputed, and the sweep loop continues
-//      until every lane reaches t_end or fails.
+//   3. lanes that arrive are snapped exactly onto their target, their due
+//      events fire in FIFO order, their targets are recomputed, and the
+//      sweep loop continues until every lane reaches t_end or fails.
 //
 // Lanes are fully independent: a lane's trajectory, step sizes and event
 // schedule do not depend on which other lanes share the batch (the
 // differential property checks batch(B) == batch(1) bitwise for all B).
-// This is the only envelope-fidelity loop: dse::system_evaluator runs a
-// single evaluate() as a batch of one.
+// This is the only simulation loop: dse::system_evaluator runs a single
+// evaluate() of either fidelity as a batch of one, and a scalar
+// analog_system runs here through single_lane_system.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +65,9 @@ public:
     }
 
     /// Called for lane l after each of its accepted steps and after each
-    /// of its event batches, with the lane's time — the batch form of the
-    /// scalar simulator's step observer. Read the lane's state through
-    /// state_at(l, ...). Serves min/max tracking and waveform traces.
+    /// of its event batches, with the lane's time. Read the lane's state
+    /// through state_at(l, ...). Serves min/max tracking and waveform
+    /// traces.
     using step_observer = std::function<void(std::size_t lane, double t)>;
     void add_step_observer(step_observer obs);
 

@@ -2,10 +2,11 @@
 //
 // SystemC-A couples an analogue equation set solved by a variable-step
 // integrator with digital processes. Here the analogue side is an explicit
-// ODE system dx/dt = f(t, x) advanced by either a fixed-step RK4 or an
-// adaptive Cash–Karp RK45 integrator. The simulator (simulator.hpp)
-// guarantees integration is always stopped exactly at digital event times,
-// so digital processes observe and perturb a consistent analogue state.
+// ODE system dx/dt = f(t, x). The adaptive Cash–Karp RK45 integrator that
+// advances it lives in batch_ode.hpp (one design point is a batch of one);
+// batch_simulator stops integration exactly at digital event times, so
+// digital processes observe and perturb a consistent analogue state. A
+// fixed-step RK4 serves as the closed-form reference.
 #pragma once
 
 #include <cstddef>
@@ -63,48 +64,8 @@ struct ode_options {
     std::size_t max_steps = 200'000'000;  ///< hard safety limit per segment
 };
 
-/// Outcome of integrating one segment.
-struct ode_status {
-    bool ok = true;               ///< false when min_dt/max_steps was hit
-    std::size_t steps_taken = 0;  ///< accepted steps
-    std::size_t steps_rejected = 0;
-    double last_dt = 0.0;         ///< final accepted step size (resume hint)
-};
-
 /// One classic fixed-step RK4 step: advances x from t by dt in place.
 void rk4_step(const analog_system& sys, double t, double dt, std::vector<double>& x);
-
-/// Adaptive Cash–Karp RK45 integrator with PI-free step control.
-///
-/// Keeps its stage buffers between calls, so a long simulation made of many
-/// short segments (between digital events) does not reallocate.
-class rk45_integrator {
-public:
-    explicit rk45_integrator(ode_options options = {}) : opt_(options) {}
-
-    const ode_options& options() const noexcept { return opt_; }
-    ode_options& options() noexcept { return opt_; }
-
-    /// Integrate `sys` from t0 to t1 (t1 >= t0), updating x in place.
-    /// `observer`, when set, is called after every accepted step with
-    /// (t, x) — used for waveform tracing. An empty observer is hoisted out
-    /// of the step loop entirely: the common no-tracing run pays no
-    /// per-step dispatch (not even an emptiness check).
-    ode_status integrate(
-        const analog_system& sys, double t0, double t1, std::vector<double>& x,
-        const std::function<void(double, std::span<const double>)>& observer = {});
-
-private:
-    template <typename Observer>
-    ode_status integrate_loop(const analog_system& sys, double t0, double t1,
-                              std::vector<double>& x, Observer&& observer);
-
-    void resize_buffers(std::size_t n);
-
-    ode_options opt_;
-    double dt_hint_ = 0.0;  ///< carry step size across segments
-    std::vector<double> k1_, k2_, k3_, k4_, k5_, k6_, xtmp_, xerr_, x5_;
-};
 
 /// Fixed-step RK4 driver over [t0, t1] with the given dt (last step clipped).
 void integrate_fixed(const analog_system& sys, double t0, double t1, double dt,

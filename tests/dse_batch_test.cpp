@@ -171,6 +171,9 @@ TEST(EvaluateBatch, FallsBackToScalarForTraces) {
 }
 
 TEST(EvaluateBatch, FallsBackToScalarForTransientFidelity) {
+    // Transient configs never share a kernel run: evaluate_batch runs each
+    // as its own width-1 run through evaluate() (the "scalar" of the name
+    // is a batch of one now), so each result equals evaluate() of its config.
     ed::scenario s = fast_scenario();
     s.duration_s = 20.0;  // transient runs resolve the carrier — keep short
     s.step_count = 0;

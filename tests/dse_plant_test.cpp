@@ -13,7 +13,6 @@
 #include "harvester/electromagnetic.hpp"
 #include "harvester/tuning_table.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
 
 namespace ed = ehdse::dse;
 namespace eh = ehdse::harvester;
@@ -109,13 +108,15 @@ TEST(TransientPlant, MirrorsEnvelopeSemantics) {
     es::ode_options ode;
     ode.max_dt = system.suggested_max_dt();
     ode.initial_dt = 1e-5;
-    es::simulator sim(system, std::move(x0), ode);
-    system.attach(sim);
+    es::batch_simulator sim(system.kernel(), std::move(x0), ode);
+    system.attach(sim.lane(0));
+    EXPECT_EQ(&system.plant(0), &system);
+    EXPECT_THROW(system.plant(1), std::out_of_range);
 
     EXPECT_NEAR(system.storage_voltage(), 2.8, 1e-12);
     system.withdraw(5e-3, "probe");
     EXPECT_LT(system.storage_voltage(), 2.8);
-    EXPECT_DOUBLE_EQ(system.ledger().total("probe"), 5e-3);
+    EXPECT_DOUBLE_EQ(system.ledger(0).total("probe"), 5e-3);
     EXPECT_DOUBLE_EQ(system.vibration_frequency(), 69.0);
     EXPECT_NEAR(system.phase_lag(), std::numbers::pi / 2.0, 0.35);
     EXPECT_THROW(system.withdraw(-1.0, "x"), std::invalid_argument);

@@ -7,7 +7,7 @@
 #include "harvester/piezo_transient.hpp"
 #include "harvester/tuning_table.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace eh = ehdse::harvester;
 namespace ep = ehdse::power;
@@ -39,10 +39,11 @@ TEST(PiezoTransient, RestStaysAtRest) {
     eh::piezo_transient_model model(r.gen, vib, r.cap, r.loads);
     model.set_position(r.table.lookup(69.0));
     auto x = eh::piezo_transient_model::initial_state(2.8);
-    es::simulator sim(model, x, options_for(69.0));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, options_for(69.0));
     ASSERT_TRUE(sim.run_until(0.3));
-    EXPECT_NEAR(sim.state_at(eh::piezo_transient_model::ix_displacement), 0.0, 1e-12);
-    EXPECT_NEAR(sim.state_at(eh::piezo_transient_model::ix_harvested), 0.0, 1e-15);
+    EXPECT_NEAR(sim.state_at(0, eh::piezo_transient_model::ix_displacement), 0.0, 1e-12);
+    EXPECT_NEAR(sim.state_at(0, eh::piezo_transient_model::ix_harvested), 0.0, 1e-15);
 }
 
 TEST(PiezoTransient, BridgeClampBehaviour) {
@@ -66,11 +67,12 @@ TEST(PiezoTransient, ChargingAgreesWithAveragedSolution) {
     model.set_position(pos);
 
     auto x = eh::piezo_transient_model::initial_state(2.8);
-    es::simulator sim(model, x, options_for(f));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, options_for(f));
     ASSERT_TRUE(sim.run_until(4.0));  // settle
-    const double e0 = sim.state_at(eh::piezo_transient_model::ix_harvested);
+    const double e0 = sim.state_at(0, eh::piezo_transient_model::ix_harvested);
     ASSERT_TRUE(sim.run_until(10.0));
-    const double e1 = sim.state_at(eh::piezo_transient_model::ix_harvested);
+    const double e1 = sim.state_at(0, eh::piezo_transient_model::ix_harvested);
     const double p_transient = (e1 - e0) / 6.0;
 
     const auto avg = r.gen.solve(pos, f, k_accel_60mg, 2.8);
@@ -88,7 +90,8 @@ TEST(PiezoTransient, BlockedAtHighStoreVoltage) {
     model.set_position(r.table.lookup(f));
     // Open-circuit piezo amplitude is ~7.2 V; a sink above it blocks fully.
     auto x = eh::piezo_transient_model::initial_state(6.8);
-    es::simulator sim(model, x, options_for(f));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, options_for(f));
     ASSERT_TRUE(sim.run_until(3.0));
-    EXPECT_LT(sim.state_at(eh::piezo_transient_model::ix_harvested), 1e-6);
+    EXPECT_LT(sim.state_at(0, eh::piezo_transient_model::ix_harvested), 1e-6);
 }

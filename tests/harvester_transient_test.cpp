@@ -9,7 +9,7 @@
 #include "harvester/transient_model.hpp"
 #include "harvester/tuning_table.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace eh = ehdse::harvester;
 namespace ep = ehdse::power;
@@ -43,10 +43,11 @@ TEST(Transient, MassAtRestStaysAtRestWithoutExcitation) {
     eh::transient_model model(r.gen, vib, r.cap, r.loads);
     model.set_position(r.table.lookup(69.0));
     auto x = eh::transient_model::initial_state(2.8);
-    es::simulator sim(model, x, transient_options(69.0));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, transient_options(69.0));
     ASSERT_TRUE(sim.run_until(0.5));
-    EXPECT_NEAR(sim.state_at(eh::transient_model::ix_displacement), 0.0, 1e-12);
-    EXPECT_NEAR(sim.state_at(eh::transient_model::ix_harvested), 0.0, 1e-15);
+    EXPECT_NEAR(sim.state_at(0, eh::transient_model::ix_displacement), 0.0, 1e-12);
+    EXPECT_NEAR(sim.state_at(0, eh::transient_model::ix_harvested), 0.0, 1e-15);
 }
 
 TEST(Transient, CoilBlockedBelowThreshold) {
@@ -81,11 +82,13 @@ TEST(Transient, DisplacementStaysNearEndStops) {
     eh::transient_model model(r.gen, vib, r.cap, r.loads);
     model.set_position(128);
     auto x = eh::transient_model::initial_state(2.8);
-    es::simulator sim(model, x, transient_options(f));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, transient_options(f));
 
     double worst = 0.0;
-    sim.add_step_observer([&](double, std::span<const double> s) {
-        worst = std::max(worst, std::abs(s[eh::transient_model::ix_displacement]));
+    sim.add_step_observer([&](std::size_t l, double) {
+        worst = std::max(worst,
+                         std::abs(sim.state_at(l, eh::transient_model::ix_displacement)));
     });
     ASSERT_TRUE(sim.run_until(2.0));
     EXPECT_LT(worst, 1.6 * p.max_displacement_m);
@@ -103,12 +106,13 @@ TEST(Transient, HarvestedEnergyAgreesWithEnvelope) {
     model.set_position(pos);
 
     auto x = eh::transient_model::initial_state(2.8);
-    es::simulator sim(model, x, transient_options(f));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, transient_options(f));
     // Let the mechanical envelope settle, then measure over a window.
     ASSERT_TRUE(sim.run_until(4.0));
-    const double e0 = sim.state_at(eh::transient_model::ix_harvested);
+    const double e0 = sim.state_at(0, eh::transient_model::ix_harvested);
     ASSERT_TRUE(sim.run_until(9.0));
-    const double e1 = sim.state_at(eh::transient_model::ix_harvested);
+    const double e1 = sim.state_at(0, eh::transient_model::ix_harvested);
     const double p_transient = (e1 - e0) / 5.0;
 
     const auto env = eh::solve_envelope(r.gen, pos, f, k_accel_60mg, 2.8);
@@ -123,9 +127,10 @@ TEST(Transient, VoltageRisesWhileCharging) {
     eh::transient_model model(r.gen, vib, r.cap, r.loads);
     model.set_position(r.table.lookup(f));
     auto x = eh::transient_model::initial_state(2.6);
-    es::simulator sim(model, x, transient_options(f));
+    es::single_lane_system lane(model);
+    es::batch_simulator sim(lane, x, transient_options(f));
     ASSERT_TRUE(sim.run_until(5.0));
-    EXPECT_GT(sim.state_at(eh::transient_model::ix_voltage), 2.6);
+    EXPECT_GT(sim.state_at(0, eh::transient_model::ix_voltage), 2.6);
 }
 
 TEST(Transient, LoadDischargesFasterThanNoLoad) {
@@ -144,9 +149,10 @@ TEST(Transient, LoadDischargesFasterThanNoLoad) {
         eh::transient_model model(r.gen, vib, r.cap, loads);
         model.set_position(255);  // resonance ~88 Hz, far from 69 Hz input
         auto x = eh::transient_model::initial_state(2.8);
-        es::simulator sim(model, x, transient_options(f));
+        es::single_lane_system lane(model);
+        es::batch_simulator sim(lane, x, transient_options(f));
         EXPECT_TRUE(sim.run_until(2.0));
-        return sim.state_at(eh::transient_model::ix_voltage);
+        return sim.state_at(0, eh::transient_model::ix_voltage);
     };
 
     EXPECT_LT(run_with(true), run_with(false) - 1e-4);

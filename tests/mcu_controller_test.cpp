@@ -1,4 +1,5 @@
-// Tuning controller (Algorithms 1-3) driven against a scripted plant.
+// Tuning controller (Algorithms 1-3) driven against a scripted plant, on
+// a width-1 batch kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +7,7 @@
 #include <numbers>
 
 #include "mcu/tuning_controller.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace em = ehdse::mcu;
 namespace eh = ehdse::harvester;
@@ -63,19 +64,22 @@ struct fixture {
     eh::microgenerator gen;
     eh::tuning_table table{gen};
     null_system sys;
+    es::single_lane_system kernel{sys};
+    es::batch_simulator sim{kernel, {0.0}};
+    es::sim_context& lane = sim.lane(0);
 };
 
 }  // namespace
 
 TEST(Controller, WatchdogCadence) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.pos = f.table.lookup(69.0);  // already tuned: wakes stay cheap
     em::controller_params params;
     params.watchdog_period_s = 100.0;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(1000.0));
+    ASSERT_TRUE(f.sim.run_until(1000.0));
     // 10 periods fit in the horizon; each wake's ~130 ms measurement delays
     // the next sleep slightly, so the final wake may fall just past it.
     EXPECT_GE(ctl.stats().wakeups, 9u);
@@ -84,13 +88,13 @@ TEST(Controller, WatchdogCadence) {
 
 TEST(Controller, SkipsWhenStoreBelowActuatorMinimum) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.voltage = 2.5;  // below the 2.6 V actuator gate
     em::controller_params params;
     params.watchdog_period_s = 50.0;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(500.0));
+    ASSERT_TRUE(f.sim.run_until(500.0));
     EXPECT_EQ(ctl.stats().low_energy_skips, ctl.stats().wakeups);
     EXPECT_EQ(ctl.stats().measurements, 0u);
     EXPECT_EQ(ctl.stats().coarse_tunings, 0u);
@@ -98,7 +102,7 @@ TEST(Controller, SkipsWhenStoreBelowActuatorMinimum) {
 
 TEST(Controller, CoarseTunesTowardsLookupTarget) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;  // far from the 74 Hz position
@@ -106,7 +110,7 @@ TEST(Controller, CoarseTunesTowardsLookupTarget) {
     params.watchdog_period_s = 60.0;
     params.mcu.clock_hz = 8e6;  // accurate measurement
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(300.0));
+    ASSERT_TRUE(f.sim.run_until(300.0));
     EXPECT_GE(ctl.stats().coarse_tunings, 1u);
     EXPECT_GT(ctl.stats().coarse_steps, 50u);
     const int target = f.table.lookup(74.0);
@@ -115,7 +119,7 @@ TEST(Controller, CoarseTunesTowardsLookupTarget) {
 
 TEST(Controller, DeadbandSuppressesSmallCorrections) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 69.0;
     plant.pos = f.table.lookup(69.0) + 2;  // within the default deadband of 2
@@ -123,21 +127,21 @@ TEST(Controller, DeadbandSuppressesSmallCorrections) {
     params.watchdog_period_s = 50.0;
     params.mcu.clock_hz = 8e6;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(500.0));
+    ASSERT_TRUE(f.sim.run_until(500.0));
     EXPECT_EQ(ctl.stats().coarse_tunings, 0u);
     EXPECT_EQ(ctl.stats().position_matches, ctl.stats().measurements);
 }
 
 TEST(Controller, ChargesEnergyToExpectedAccounts) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;
     em::controller_params params;
     params.watchdog_period_s = 60.0;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(200.0));
+    ASSERT_TRUE(f.sim.run_until(200.0));
     EXPECT_GT(plant.withdrawals["mcu.wake_check"], 0.0);
     EXPECT_GT(plant.withdrawals["mcu.measure"], 0.0);
     EXPECT_GT(plant.withdrawals["actuator.coarse"], 0.0);
@@ -147,7 +151,7 @@ TEST(Controller, ChargesEnergyToExpectedAccounts) {
 
 TEST(Controller, FineTuningRunsAfterCoarse) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;
@@ -155,7 +159,7 @@ TEST(Controller, FineTuningRunsAfterCoarse) {
     params.watchdog_period_s = 60.0;
     params.mcu.clock_hz = 8e6;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(300.0));
+    ASSERT_TRUE(f.sim.run_until(300.0));
     EXPECT_GE(ctl.stats().fine_iterations, 1u);
     EXPECT_GT(plant.withdrawals["accelerometer"], 0.0);
     EXPECT_GT(plant.withdrawals["mcu.fine"], 0.0);
@@ -163,7 +167,7 @@ TEST(Controller, FineTuningRunsAfterCoarse) {
 
 TEST(Controller, DisabledModeNeverTouchesPlant) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;
@@ -171,7 +175,7 @@ TEST(Controller, DisabledModeNeverTouchesPlant) {
     params.mode = em::tuning_mode::disabled;
     params.watchdog_period_s = 50.0;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(500.0));
+    ASSERT_TRUE(f.sim.run_until(500.0));
     EXPECT_GT(ctl.stats().wakeups, 0u);
     EXPECT_EQ(ctl.stats().measurements, 0u);
     EXPECT_EQ(plant.pos, 0);
@@ -180,7 +184,7 @@ TEST(Controller, DisabledModeNeverTouchesPlant) {
 
 TEST(Controller, CoarseOnlySkipsFine) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;
@@ -188,7 +192,7 @@ TEST(Controller, CoarseOnlySkipsFine) {
     params.mode = em::tuning_mode::coarse_only;
     params.watchdog_period_s = 60.0;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(300.0));
+    ASSERT_TRUE(f.sim.run_until(300.0));
     EXPECT_GE(ctl.stats().coarse_tunings, 1u);
     EXPECT_EQ(ctl.stats().fine_iterations, 0u);
     EXPECT_EQ(plant.withdrawals.count("accelerometer"), 0u);
@@ -196,7 +200,7 @@ TEST(Controller, CoarseOnlySkipsFine) {
 
 TEST(Controller, FineOnlyWalksWithoutCoarse) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 69.0;
     // Start far enough off that the true phase offset (~0.066 Hz/step *
@@ -208,7 +212,7 @@ TEST(Controller, FineOnlyWalksWithoutCoarse) {
     params.watchdog_period_s = 60.0;
     params.mcu.clock_hz = 8e6;
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(600.0));
+    ASSERT_TRUE(f.sim.run_until(600.0));
     EXPECT_EQ(ctl.stats().coarse_tunings, 0u);
     EXPECT_GE(ctl.stats().fine_iterations, 1u);
     EXPECT_GT(ctl.stats().fine_steps, 0u);
@@ -218,7 +222,7 @@ TEST(Controller, FineOnlyWalksWithoutCoarse) {
 
 TEST(Controller, AccurateClockConvergesFineTuning) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     plant.freq = 74.0;
     plant.pos = 0;
@@ -226,13 +230,13 @@ TEST(Controller, AccurateClockConvergesFineTuning) {
     params.watchdog_period_s = 60.0;
     params.mcu.clock_hz = 8e6;  // phase noise ~4 us << 100 us threshold
     em::tuning_controller ctl(sim, plant, f.table, params);
-    ASSERT_TRUE(sim.run_until(600.0));
+    ASSERT_TRUE(f.sim.run_until(600.0));
     EXPECT_GE(ctl.stats().fine_converged, 1u);
 }
 
 TEST(Controller, InvalidParamsThrow) {
     fixture f;
-    es::simulator sim(f.sys, {0.0});
+    es::sim_context& sim = f.lane;
     scripted_plant plant(f.table);
     em::controller_params params;
     params.watchdog_period_s = 0.0;

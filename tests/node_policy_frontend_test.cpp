@@ -10,7 +10,7 @@
 #include "harvester/electromagnetic.hpp"
 #include "node/sensor_node.hpp"
 #include "power/supercapacitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace ed = ehdse::dse;
 namespace enode = ehdse::node;
@@ -42,6 +42,14 @@ public:
     }
 };
 
+/// null_system on a width-1 kernel; `lane` hosts the node.
+struct null_kernel {
+    null_system sys;
+    es::single_lane_system adapter{sys};
+    es::batch_simulator sim{adapter, {0.0}};
+    es::sim_context& lane = sim.lane(0);
+};
+
 enode::node_params proportional_params() {
     enode::node_params p;
     p.policy = enode::tx_policy::proportional;
@@ -52,8 +60,8 @@ enode::node_params proportional_params() {
 }  // namespace
 
 TEST(ProportionalPolicy, IntervalEndpoints) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     pinned_plant plant(2.9);
     enode::sensor_node node(sim, plant, proportional_params());
     // At/above full voltage: fast interval; at cut-off: slow interval.
@@ -64,8 +72,8 @@ TEST(ProportionalPolicy, IntervalEndpoints) {
 }
 
 TEST(ProportionalPolicy, IntervalMonotoneInVoltage) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     pinned_plant plant(2.9);
     enode::sensor_node node(sim, plant, proportional_params());
     double last = 1e9;
@@ -79,8 +87,8 @@ TEST(ProportionalPolicy, IntervalMonotoneInVoltage) {
 }
 
 TEST(ProportionalPolicy, BandedIntervalUnchanged) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     pinned_plant plant(2.9);
     enode::sensor_node node(sim, plant, {});  // default banded
     EXPECT_DOUBLE_EQ(node.interval_at(2.85), 5.0);
@@ -89,8 +97,8 @@ TEST(ProportionalPolicy, BandedIntervalUnchanged) {
 }
 
 TEST(ProportionalPolicy, SmoothsTheBandCliff) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     pinned_plant plant(2.795);  // just under the 2.8 V band edge
     enode::node_params banded;
     enode::sensor_node nb(sim, plant, banded);

@@ -1,11 +1,12 @@
 // Sensor node: Table III energy model, eq. 8 equivalent resistances, and
-// the Table II voltage-banded policy on a scripted plant.
+// the Table II voltage-banded policy on a scripted plant, on a width-1
+// batch kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "node/sensor_node.hpp"
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 
 namespace enode = ehdse::node;
 namespace es = ehdse::sim;
@@ -44,6 +45,14 @@ public:
     }
 };
 
+/// null_system on a width-1 kernel; `lane` hosts the node.
+struct null_kernel {
+    null_system sys;
+    es::single_lane_system adapter{sys};
+    es::batch_simulator sim{adapter, {0.0}};
+    es::sim_context& lane = sim.lane(0);
+};
+
 }  // namespace
 
 TEST(NodeEnergyModel, PaperTable3Figures) {
@@ -56,22 +65,22 @@ TEST(NodeEnergyModel, PaperTable3Figures) {
 }
 
 TEST(Node, RegistersSleepDrawOnConstruction) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     enode::sensor_node node(sim, plant);
     EXPECT_DOUBLE_EQ(plant.sustained_amps, 0.5e-6);
 }
 
 TEST(Node, FastBandTransmitsAtConfiguredInterval) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.9;  // above 2.8: fast band
     enode::node_params params;
     params.fast_interval_s = 2.0;
     enode::sensor_node node(sim, plant, params);
-    ASSERT_TRUE(sim.run_until(10.5));
+    ASSERT_TRUE(k.sim.run_until(10.5));
     // Wakes at t = 0, 2, 4, 6, 8, 10.
     EXPECT_EQ(node.transmissions(), 6u);
     EXPECT_EQ(node.low_band_transmissions(), 0u);
@@ -79,51 +88,51 @@ TEST(Node, FastBandTransmitsAtConfiguredInterval) {
 }
 
 TEST(Node, LowBandTransmitsEveryMinute) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.75;  // Table II row 2
     enode::sensor_node node(sim, plant);
-    ASSERT_TRUE(sim.run_until(180.5));
+    ASSERT_TRUE(k.sim.run_until(180.5));
     EXPECT_EQ(node.transmissions(), 4u);  // t = 0, 60, 120, 180
     EXPECT_EQ(node.low_band_transmissions(), 4u);
 }
 
 TEST(Node, BelowCutoffNeverTransmits) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.65;  // Table II row 1
     enode::sensor_node node(sim, plant);
-    ASSERT_TRUE(sim.run_until(300.0));
+    ASSERT_TRUE(k.sim.run_until(300.0));
     EXPECT_EQ(node.transmissions(), 0u);
     EXPECT_GT(node.suppressed_wakeups(), 0u);
     EXPECT_DOUBLE_EQ(plant.withdrawn, 0.0);
 }
 
 TEST(Node, PolicyFollowsVoltageChanges) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.9;
     enode::node_params params;
     params.fast_interval_s = 1.0;
     enode::sensor_node node(sim, plant, params);
     // 10 s fast, then drop below cutoff.
-    ASSERT_TRUE(sim.run_until(10.5));
+    ASSERT_TRUE(k.sim.run_until(10.5));
     const auto fast_count = node.transmissions();
     EXPECT_EQ(fast_count, 11u);  // t=0..10
     plant.voltage = 2.5;
-    ASSERT_TRUE(sim.run_until(70.0));
+    ASSERT_TRUE(k.sim.run_until(70.0));
     EXPECT_EQ(node.transmissions(), fast_count);  // nothing while starved
     plant.voltage = 2.9;
-    ASSERT_TRUE(sim.run_until(200.0));
+    ASSERT_TRUE(k.sim.run_until(200.0));
     EXPECT_GT(node.transmissions(), fast_count + 100u);  // resumed at 1 Hz
 }
 
 TEST(Node, BurstEnergyScalesWithVoltage) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     enode::sensor_node node(sim, plant);
     const double e28 = node.burst_energy_at(2.8);
@@ -132,29 +141,29 @@ TEST(Node, BurstEnergyScalesWithVoltage) {
 }
 
 TEST(Node, TinyIntervalClampedToBurstDuration) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.9;
     enode::node_params params;
     params.fast_interval_s = 1e-4;  // shorter than the 4.5 ms burst
     enode::sensor_node node(sim, plant, params);
-    ASSERT_TRUE(sim.run_until(1.0));
+    ASSERT_TRUE(k.sim.run_until(1.0));
     // Bursts cannot overlap: at most one per 4.5 ms.
     EXPECT_LE(node.transmissions(), static_cast<std::uint64_t>(1.0 / 4.5e-3) + 2);
     EXPECT_GT(node.transmissions(), 200u);
 }
 
 TEST(Node, TelemetryLogsOnePacketPerTransmission) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.9;
     enode::node_params params;
     params.fast_interval_s = 2.0;
     enode::sensor_node node(sim, plant, params);
     node.enable_telemetry([](double t) { return 20.0 + t; });
-    ASSERT_TRUE(sim.run_until(10.5));
+    ASSERT_TRUE(k.sim.run_until(10.5));
     ASSERT_EQ(node.telemetry().size(), node.transmissions());
     for (const auto& pkt : node.telemetry()) {
         EXPECT_NEAR(pkt.temperature_c, 20.0 + pkt.time_s, 1e-9);
@@ -164,23 +173,23 @@ TEST(Node, TelemetryLogsOnePacketPerTransmission) {
 }
 
 TEST(Node, TelemetryRingBufferKeepsNewest) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     plant.voltage = 2.9;
     enode::node_params params;
     params.fast_interval_s = 1.0;
     enode::sensor_node node(sim, plant, params);
     node.enable_telemetry([](double) { return 0.0; }, 5);
-    ASSERT_TRUE(sim.run_until(20.0));
+    ASSERT_TRUE(k.sim.run_until(20.0));
     ASSERT_EQ(node.telemetry().size(), 5u);
     EXPECT_DOUBLE_EQ(node.telemetry().back().time_s, 20.0);
     EXPECT_DOUBLE_EQ(node.telemetry().front().time_s, 16.0);
 }
 
 TEST(Node, TelemetryValidation) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     enode::sensor_node node(sim, plant);
     EXPECT_THROW(node.enable_telemetry(nullptr), std::invalid_argument);
@@ -190,8 +199,8 @@ TEST(Node, TelemetryValidation) {
 }
 
 TEST(Node, InvalidParamsThrow) {
-    null_system sys;
-    es::simulator sim(sys, {0.0});
+    null_kernel k;
+    es::sim_context& sim = k.lane;
     scripted_plant plant;
     enode::node_params p;
     p.fast_interval_s = 0.0;

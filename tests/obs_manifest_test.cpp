@@ -104,11 +104,11 @@ TEST(Manifest, MetricsSnapshotEmbedded) {
     fill_sample(m);
     eo::json_value metrics = eo::json_object{};
     metrics.set("counters", eo::json_value(eo::json_object{
-                                {"sim.ode_steps", eo::json_value(42)}}));
+                                {"sim.batch.ode_steps", eo::json_value(42)}}));
     m.set_metrics(std::move(metrics));
     const auto doc = eo::json_value::parse(m.to_json().dump());
     EXPECT_DOUBLE_EQ(
-        doc.at("metrics").at("counters").at("sim.ode_steps").as_number(), 42.0);
+        doc.at("metrics").at("counters").at("sim.batch.ode_steps").as_number(), 42.0);
 }
 
 TEST(Manifest, JsonlOneRecordPerLine) {

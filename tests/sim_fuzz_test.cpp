@@ -1,7 +1,7 @@
 // Randomised differential test, on the testkit harness: the event queue
 // against a reference model (std::multimap ordered by (time, sequence))
 // under random schedule/cancel/pop operation tapes; plus simulator edge
-// cases. EHDSE_TESTKIT_SEED reseeds the tapes, EHDSE_FUZZ_MS trades the
+// cases (one scalar system on the batch kernel at width 1). EHDSE_TESTKIT_SEED reseeds the tapes, EHDSE_FUZZ_MS trades the
 // fixed case count for a wall-time budget (the nightly fuzz knob), and a
 // failure shrinks to a minimal op tape and prints a one-line repro.
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 #include "testkit/property.hpp"
 #include "testkit/prng.hpp"
 
@@ -175,46 +175,51 @@ public:
         d[0] = 0.0;
     }
 };
+
+/// still_system from x0 on a width-1 kernel; `ctx` is its one lane.
+struct still_rig {
+    explicit still_rig(double x0) : sim(lane, {x0}) {}
+    still_system sys;
+    es::single_lane_system lane{sys};
+    es::batch_simulator sim;
+    es::sim_context& ctx = sim.lane(0);
+};
 }  // namespace
 
 TEST(SimulatorEdge, EventExactlyAtHorizonFires) {
-    still_system sys;
-    es::simulator sim(sys, {0.0});
+    still_rig r(0.0);
     bool fired = false;
-    sim.at(1.0, [&] { fired = true; });
-    ASSERT_TRUE(sim.run_until(1.0));
+    r.ctx.at(1.0, [&] { fired = true; });
+    ASSERT_TRUE(r.sim.run_until(1.0));
     EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorEdge, ZeroDurationRunIsNoop) {
-    still_system sys;
-    es::simulator sim(sys, {0.5});
-    ASSERT_TRUE(sim.run_until(0.0));
-    EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-    EXPECT_DOUBLE_EQ(sim.state_at(0), 0.5);
+    still_rig r(0.5);
+    ASSERT_TRUE(r.sim.run_until(0.0));
+    EXPECT_DOUBLE_EQ(r.ctx.now(), 0.0);
+    EXPECT_DOUBLE_EQ(r.ctx.state_at(0), 0.5);
 }
 
 TEST(SimulatorEdge, EventSchedulingAtCurrentTimeRunsThisSweep) {
-    still_system sys;
-    es::simulator sim(sys, {0.0});
+    still_rig r(0.0);
     std::vector<int> order;
-    sim.at(1.0, [&] {
+    r.ctx.at(1.0, [&] {
         order.push_back(1);
-        sim.at(1.0, [&] { order.push_back(2); });  // same-time follow-up
+        r.ctx.at(1.0, [&] { order.push_back(2); });  // same-time follow-up
     });
-    ASSERT_TRUE(sim.run_until(2.0));
+    ASSERT_TRUE(r.sim.run_until(2.0));
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(SimulatorEdge, ManyZeroSpacedEventsTerminate) {
-    still_system sys;
-    es::simulator sim(sys, {0.0});
+    still_rig r(0.0);
     int count = 0;
     std::function<void()> chain = [&] {
-        if (++count < 1000) sim.at(sim.now(), chain);
+        if (++count < 1000) r.ctx.at(r.ctx.now(), chain);
     };
-    sim.at(0.5, chain);
-    ASSERT_TRUE(sim.run_until(1.0));
+    r.ctx.at(0.5, chain);
+    ASSERT_TRUE(r.sim.run_until(1.0));
     EXPECT_EQ(count, 1000);
 }
 
@@ -222,12 +227,12 @@ TEST(SimulatorEdge, NonFiniteStateFailsTheRunCleanly) {
     // An event corrupting the state to NaN (what the fault-injection
     // wrappers do deliberately) must fail run_until instead of stalling
     // the error-controlled integrator.
-    still_system sys;
-    es::simulator sim(sys, {1.0});
-    sim.at(0.5, [&] {
-        sim.set_state(0, std::numeric_limits<double>::quiet_NaN());
+    still_rig r(1.0);
+    r.ctx.at(0.5, [&] {
+        r.ctx.set_state(0, std::numeric_limits<double>::quiet_NaN());
     });
-    EXPECT_TRUE(sim.state_finite());
-    EXPECT_FALSE(sim.run_until(1.0));
-    EXPECT_FALSE(sim.state_finite());
+    EXPECT_TRUE(r.sim.lane_state_finite(0));
+    EXPECT_FALSE(r.sim.run_until(1.0));
+    EXPECT_FALSE(r.sim.lane_ok(0));
+    EXPECT_FALSE(r.sim.lane_state_finite(0));
 }

@@ -1,11 +1,12 @@
 // Mixed-signal coordination: analogue integration stopping exactly at
 // digital events, state perturbation by events, process wake semantics,
-// and waveform tracing.
+// and waveform tracing — on the batch kernel at width 1, one scalar
+// system behind single_lane_system.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "sim/simulator.hpp"
+#include "sim/batch_simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace es = ehdse::sim;
@@ -23,75 +24,78 @@ public:
     double rate = 1.0;
 };
 
+/// ramp_system from x = 0 on a width-1 kernel; `ctx` is its one lane.
+struct ramp_rig {
+    ramp_system sys;
+    es::single_lane_system lane{sys};
+    es::batch_simulator sim{lane, {0.0}};
+    es::sim_context& ctx = sim.lane(0);
+};
+
 }  // namespace
 
 TEST(Simulator, PureAnalogRun) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    ASSERT_TRUE(sim.run_until(2.0));
-    EXPECT_NEAR(sim.state_at(0), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+    ramp_rig r;
+    ASSERT_TRUE(r.sim.run_until(2.0));
+    EXPECT_NEAR(r.ctx.state_at(0), 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(r.ctx.now(), 2.0);
 }
 
 TEST(Simulator, EventChangesAnalogInput) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    sim.at(1.0, [&] { sys.rate = 3.0; });
-    ASSERT_TRUE(sim.run_until(2.0));
+    ramp_rig r;
+    r.ctx.at(1.0, [&] { r.sys.rate = 3.0; });
+    ASSERT_TRUE(r.sim.run_until(2.0));
     // 1 s at rate 1 plus 1 s at rate 3.
-    EXPECT_NEAR(sim.state_at(0), 4.0, 1e-8);
+    EXPECT_NEAR(r.ctx.state_at(0), 4.0, 1e-8);
 }
 
 TEST(Simulator, EventReadsConsistentAnalogState) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
+    ramp_rig r;
     double observed = -1.0;
-    sim.at(1.5, [&] { observed = sim.state_at(0); });
-    ASSERT_TRUE(sim.run_until(3.0));
+    r.ctx.at(1.5, [&] { observed = r.ctx.state_at(0); });
+    ASSERT_TRUE(r.sim.run_until(3.0));
     EXPECT_NEAR(observed, 1.5, 1e-8);
 }
 
 TEST(Simulator, EventPerturbsState) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    sim.at(1.0, [&] { sim.set_state(0, sim.state_at(0) - 0.5); });
-    ASSERT_TRUE(sim.run_until(2.0));
-    EXPECT_NEAR(sim.state_at(0), 1.5, 1e-8);
+    ramp_rig r;
+    r.ctx.at(1.0, [&] { r.ctx.set_state(0, r.ctx.state_at(0) - 0.5); });
+    ASSERT_TRUE(r.sim.run_until(2.0));
+    EXPECT_NEAR(r.ctx.state_at(0), 1.5, 1e-8);
 }
 
 TEST(Simulator, SchedulingInPastThrows) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    ASSERT_TRUE(sim.run_until(1.0));
-    EXPECT_THROW(sim.at(0.5, [] {}), std::invalid_argument);
-    EXPECT_THROW(sim.after(-1.0, [] {}), std::invalid_argument);
-    EXPECT_THROW(sim.run_until(0.5), std::invalid_argument);
+    ramp_rig r;
+    ASSERT_TRUE(r.sim.run_until(1.0));
+    EXPECT_THROW(r.ctx.at(0.5, [] {}), std::invalid_argument);
+    EXPECT_THROW(r.ctx.after(-1.0, [] {}), std::invalid_argument);
+    EXPECT_THROW(r.sim.run_until(0.5), std::invalid_argument);
 }
 
 TEST(Simulator, InitialStateSizeMismatchThrows) {
     ramp_system sys;
-    EXPECT_THROW(es::simulator(sys, {0.0, 0.0}), std::invalid_argument);
+    es::single_lane_system lane(sys);
+    EXPECT_THROW(es::batch_simulator(lane, {0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(Simulator, CascadedEventsWithinHorizon) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
+    ramp_rig r;
     int fired = 0;
     std::function<void()> chain = [&] {
         ++fired;
-        if (fired < 5) sim.after(0.1, chain);
+        if (fired < 5) r.ctx.after(0.1, chain);
     };
-    sim.after(0.1, chain);
-    ASSERT_TRUE(sim.run_until(1.0));
+    r.ctx.after(0.1, chain);
+    ASSERT_TRUE(r.sim.run_until(1.0));
     EXPECT_EQ(fired, 5);
-    EXPECT_EQ(sim.total_events(), 5u);
+    EXPECT_EQ(r.sim.lane_events(0), 5u);
 }
 
 namespace {
 
 class counting_process final : public es::process {
 public:
-    counting_process(es::simulator& sim, double period)
+    counting_process(es::sim_context& sim, double period)
         : es::process(sim), period_(period) {
         wake_after(period_);
     }
@@ -107,7 +111,7 @@ private:
 
 class reschedule_process final : public es::process {
 public:
-    explicit reschedule_process(es::simulator& sim) : es::process(sim) {
+    explicit reschedule_process(es::sim_context& sim) : es::process(sim) {
         wake_after(10.0);  // will be replaced
         wake_after(1.0);   // replaces the pending wake
     }
@@ -120,30 +124,27 @@ private:
 }  // namespace
 
 TEST(Process, PeriodicActivation) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    counting_process proc(sim, 0.25);
-    ASSERT_TRUE(sim.run_until(1.0));
+    ramp_rig r;
+    counting_process proc(r.ctx, 0.25);
+    ASSERT_TRUE(r.sim.run_until(1.0));
     EXPECT_EQ(proc.activations, 4);
 }
 
 TEST(Process, RescheduleReplacesPendingWake) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
-    reschedule_process proc(sim);
-    ASSERT_TRUE(sim.run_until(20.0));
+    ramp_rig r;
+    reschedule_process proc(r.ctx);
+    ASSERT_TRUE(r.sim.run_until(20.0));
     // Only the 1 s wake fires; the 10 s wake was cancelled by replacement.
     ASSERT_EQ(proc.activation_times.size(), 1u);
     EXPECT_DOUBLE_EQ(proc.activation_times[0], 1.0);
 }
 
 TEST(Process, CancelWakeStopsActivation) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
+    ramp_rig r;
 
     class cancelling final : public es::process {
     public:
-        explicit cancelling(es::simulator& s) : es::process(s) {
+        explicit cancelling(es::sim_context& s) : es::process(s) {
             wake_after(1.0);
             EXPECT_TRUE(wake_pending());
             cancel_wake();
@@ -153,9 +154,9 @@ TEST(Process, CancelWakeStopsActivation) {
 
     private:
         void activate() override { activated = true; }
-    } proc(sim);
+    } proc(r.ctx);
 
-    ASSERT_TRUE(sim.run_until(5.0));
+    ASSERT_TRUE(r.sim.run_until(5.0));
     EXPECT_FALSE(proc.activated);
 }
 
@@ -194,13 +195,12 @@ TEST(Trace, BackwardsTimeThrows) {
 }
 
 TEST(Trace, ObserverIntegrationWithSimulator) {
-    ramp_system sys;
-    es::simulator sim(sys, {0.0});
+    ramp_rig r;
     es::trace tr("ramp", 0.0);
-    sim.add_step_observer([&](double t, std::span<const double> x) {
-        tr.record(t, x[0]);
+    r.sim.add_step_observer([&](std::size_t l, double t) {
+        tr.record(t, r.sim.state_at(l, 0));
     });
-    ASSERT_TRUE(sim.run_until(1.0));
+    ASSERT_TRUE(r.sim.run_until(1.0));
     ASSERT_FALSE(tr.empty());
     EXPECT_NEAR(tr.last_value(), 1.0, 1e-8);
     EXPECT_NEAR(tr.sample(0.5), 0.5, 1e-6);
